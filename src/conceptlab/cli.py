@@ -298,13 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact dimension, compression, and coloring certificates "
         "for finite multiclass concept classes",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker processes; current operations are single-process "
-        "and deterministic, so values above 1 behave like 1",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = sub.add_parser("gen", help="emit a class file for a named family")
@@ -397,7 +390,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("subcommand", "out", "seed", "threads")
+        if k not in ("subcommand", "out", "seed")
     }
     return RunConfig(
         subcommand=args.subcommand,

@@ -482,14 +482,6 @@ def to_binary_class(cls: ConceptClass) -> ConceptClass:
     )
 
 
-def binary_domain_pairs(cls: ConceptClass) -> tuple[tuple[int, int], ...]:
-    """The (point, label) pair carried by each index of the reduced domain."""
-    labels = cls.labels_used()
-    return tuple(
-        (x, y) for x in range(cls.domain_size) for y in labels
-    )
-
-
 # --- boosted majority-vote scheme ---------------------------------------------
 
 BOOST_EDGE = Fraction(1, 8)

@@ -25,10 +25,6 @@ STAR: int = -1
 """Sentinel for an undefined label; never a valid defined label."""
 
 
-def is_defined(label: int) -> bool:
-    return label != STAR
-
-
 class ClassKind(str, Enum):
     PARTIAL = "partial"
     TOTAL = "total"
@@ -40,11 +36,6 @@ def _check_label(value: object) -> int:
     if value < 0 and value != STAR:
         raise ValueError(f"defined labels must be non-negative, got {value}")
     return value
-
-
-def support(concept: Sequence[int]) -> tuple[int, ...]:
-    """Domain indices where the concept is defined."""
-    return tuple(i for i, v in enumerate(concept) if v != STAR)
 
 
 @dataclass(frozen=True)
@@ -162,9 +153,6 @@ class PatternSet:
 
     def __contains__(self, pattern: tuple[int, ...]) -> bool:
         return tuple(pattern) in self.patterns
-
-    def sorted_patterns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.patterns, key=_pattern_sort_key))
 
 
 def _pattern_sort_key(pattern: Sequence[int]) -> tuple[tuple[int, int], ...]:

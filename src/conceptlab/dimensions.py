@@ -16,11 +16,24 @@ re-derives the claim from the witness data alone, with no search.  The DS
 check runs on the selected kernel backend (compiled or pure); the
 definition-literal exhaustive search ``ds_shatters_bruteforce`` is retained
 as an independent correctness oracle.
+
+The Natarajan and graph checks return the first witness of the
+definition-literal ordered searches: ordered concept pairs in
+``itertools.permutations`` order, and anchors in stored concept order.  They
+search less and reach the same witness:
+
+* both stop at once when the restriction has fewer than 2^|S| distinct
+  rows, since a witness needs 2^|S| distinct realized rows;
+* both try only the distinct rows, in first-occurrence order, since a
+  repeated row can only repeat a pair or an anchor tried before;
+* Natarajan tries unordered pairs i < j, since (f1, f2) is a witness exactly
+  when (f2, f1) is one, so the first ordered witness has i < j.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -254,49 +267,88 @@ def _require_total(cls: ConceptClass, what: str) -> None:
         raise ValueError(f"{what} is defined for total classes only")
 
 
+def _distinct_rows(
+    cls: ConceptClass, indices: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Distinct restrictions to the indices, in first-occurrence order."""
+    return list(
+        dict.fromkeys(tuple(concept[i] for i in indices) for concept in cls.concepts)
+    )
+
+
 def n_shatters(
     cls: ConceptClass, indices: Sequence[int]
 ) -> Optional[ShatterWitness]:
-    """Natarajan shattering; first witness in lexicographic pair order."""
+    """Natarajan shattering; first witness in lexicographic pair order.
+
+    Returns the witness that the definition-literal search finds first when
+    it tries ordered pairs of concepts in ``itertools.permutations`` order.
+    The search here tries unordered pairs i < j of the distinct
+    restrictions in first-occurrence order, and reaches the same pair:
+
+    * symmetry: (f1, f2) is a witness exactly when (f2, f1) is one, since
+      mask and its complement swap their roles, so the first ordered witness
+      (a, b) has a < b;
+    * first occurrence: a concept repeating an earlier restriction forms
+      only pairs already tried with that earlier concept, so a and b are
+      first occurrences;
+    * 2^d count: a witness's 2^d mixtures are distinct realized
+      restrictions, so with fewer than 2^d distinct rows there is none.
+    """
     _require_total(cls, "Natarajan shattering")
     indices = _checked_indices(cls, indices)
     d = len(indices)
-    rows = [tuple(concept[i] for i in indices) for concept in cls.concepts]
+    rows = _distinct_rows(cls, indices)
+    if len(rows) < 1 << d:
+        return None
     realized = set(rows)
-    for a, b in itertools.permutations(range(len(rows)), 2):
-        f1, f2 = rows[a], rows[b]
-        if any(f1[i] == f2[i] for i in range(d)):
-            continue
-        mixtures = []
-        ok = True
-        for mask in range(1 << d):
-            mix = tuple(f1[i] if (mask >> i) & 1 else f2[i] for i in range(d))
-            if mix not in realized:
-                ok = False
-                break
-            mixtures.append(mix)
-        if ok:
-            return ShatterWitness(
-                kind=ShatterKind.NATARAJAN,
-                indices=indices,
-                pair=(f1, f2),
-                realizers=tuple(mixtures),
-            )
+    for a, f1 in enumerate(rows):
+        for f2 in rows[a + 1 :]:
+            if not all(map(operator.ne, f1, f2)):
+                continue
+            mixtures = []
+            for mask in range(1 << d):
+                mix = tuple(f1[i] if (mask >> i) & 1 else f2[i] for i in range(d))
+                if mix not in realized:
+                    break
+                mixtures.append(mix)
+            else:
+                return ShatterWitness(
+                    kind=ShatterKind.NATARAJAN,
+                    indices=indices,
+                    pair=(f1, f2),
+                    realizers=tuple(mixtures),
+                )
     return None
 
 
 def g_shatters(
     cls: ConceptClass, indices: Sequence[int]
 ) -> Optional[ShatterWitness]:
-    """Graph shattering; anchors are tried in stored concept order."""
+    """Graph shattering; first anchor in stored concept order.
+
+    Returns the witness that the definition-literal search finds first when
+    it tries every concept's restriction as the anchor in stored order, and
+    takes as the realizer of each agreement mask the least realized
+    restriction with that mask.  The search here tries the distinct
+    restrictions in first-occurrence order, and reaches the same anchor:
+
+    * first occurrence: a repeated anchor gives the same masks as its first
+      occurrence, which has already failed;
+    * 2^d count: a witness's 2^d realizers have distinct agreement masks,
+      hence are distinct rows, so with fewer than 2^d distinct rows there is
+      none.
+    """
     _require_total(cls, "graph shattering")
     indices = _checked_indices(cls, indices)
     d = len(indices)
-    rows = [tuple(concept[i] for i in indices) for concept in cls.concepts]
-    distinct = sorted(set(rows))
-    for anchor in (tuple(concept[i] for i in indices) for concept in cls.concepts):
+    rows = _distinct_rows(cls, indices)
+    if len(rows) < 1 << d:
+        return None
+    sorted_rows = sorted(rows)
+    for anchor in rows:
         by_mask: dict[int, tuple[int, ...]] = {}
-        for pattern in distinct:
+        for pattern in sorted_rows:
             mask = 0
             for i in range(d):
                 if pattern[i] == anchor[i]:

@@ -113,6 +113,55 @@ def g_shattered(concepts, indices):
     return False
 
 
+def n_first_witness(concepts, indices):
+    """The first Natarajan witness when ordered pairs of concepts are tried
+    in ``itertools.permutations`` order: ``((f1, f2), mixtures)`` with f1, f2
+    the pair's restrictions and ``mixtures[mask]`` taking f1 on the bit-set
+    positions of mask and f2 elsewhere; None when no pair qualifies."""
+    d = len(indices)
+    realized = patterns_on(concepts, indices)
+    for c1, c2 in itertools.permutations(concepts, 2):
+        f1 = tuple(c1[i] for i in indices)
+        f2 = tuple(c2[i] for i in indices)
+        if any(f1[pos] == f2[pos] for pos in range(d)):
+            continue
+        mixtures = tuple(
+            tuple(f1[pos] if (mask >> pos) & 1 else f2[pos] for pos in range(d))
+            for mask in range(2**d)
+        )
+        if all(mix in realized for mix in mixtures):
+            return (f1, f2), mixtures
+    return None
+
+
+def g_first_witness(concepts, indices):
+    """The first graph witness when every concept, duplicate restrictions
+    included, is tried as the anchor in stored order: ``(anchor, realizers)``
+    with ``realizers[mask]`` the least realized pattern agreeing with the
+    anchor exactly on the bit-set positions of mask; None when no anchor
+    qualifies."""
+    d = len(indices)
+    realized = sorted(patterns_on(concepts, indices))
+    for concept in concepts:
+        anchor = tuple(concept[i] for i in indices)
+        realizers = []
+        for mask in range(2**d):
+            hits = [
+                pattern
+                for pattern in realized
+                if all(
+                    (pattern[pos] == anchor[pos]) == bool((mask >> pos) & 1)
+                    for pos in range(d)
+                )
+            ]
+            if not hits:
+                break
+            realizers.append(hits[0])
+        else:
+            return anchor, tuple(realizers)
+    return None
+
+
 def naive_dimension(concepts, n, shattered) -> int:
     """Largest d with some shattered size-d subset, by scanning everything."""
     if not concepts:

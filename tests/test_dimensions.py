@@ -164,6 +164,57 @@ class TestGraph:
                     assert got == oracles.g_shattered(cls.concepts, combo)
 
 
+class TestFirstWitness:
+    """n_shatters and g_shatters return exactly the witness of the ordered,
+    definition-literal searches in ``oracles``."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(67)
+        classes = [disjoint_pairs_family(4), haussler_long_class(4, 3, 2)]
+        for _ in range(80):
+            base = random_total_class(rng, 4, rng.randint(2, 12), 3)
+            concepts = list(base.concepts)
+            rng.shuffle(concepts)
+            classes.append(ConceptClass(4, tuple(concepts), ClassKind.TOTAL))
+        for cls in classes:
+            for r in (1, 2, 3):
+                for combo in itertools.combinations(range(cls.domain_size), r):
+                    yield cls, combo
+
+    def test_case_mix(self):
+        repeated = few = 0
+        for cls, combo in self.cases():
+            distinct = len(oracles.patterns_on(cls.concepts, combo))
+            repeated += distinct < cls.n_concepts
+            few += distinct < 2 ** len(combo)
+        assert repeated > 500 and few > 500
+
+    def test_natarajan_matches_first_ordered_pair(self):
+        found = 0
+        for cls, combo in self.cases():
+            want = oracles.n_first_witness(cls.concepts, combo)
+            got = n_shatters(cls, combo)
+            if want is None:
+                assert got is None, (cls, combo)
+                continue
+            found += 1
+            assert (got.pair, got.realizers) == want, (cls, combo)
+        assert found > 100
+
+    def test_graph_matches_first_stored_anchor(self):
+        found = 0
+        for cls, combo in self.cases():
+            want = oracles.g_first_witness(cls.concepts, combo)
+            got = g_shatters(cls, combo)
+            if want is None:
+                assert got is None, (cls, combo)
+                continue
+            found += 1
+            assert (got.anchor, got.realizers) == want, (cls, combo)
+        assert found > 100
+
+
 class TestVc:
     def test_requires_binary_labels(self):
         with pytest.raises(ValueError):
