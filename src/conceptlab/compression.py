@@ -1,6 +1,12 @@
 """Sample compression schemes: contract, verifiers, exact oracles, and the
 compression-to-disambiguation extractor.
 
+The exact minimum-size oracle is a list coloring (the compression-coloring
+link of Alon, Hanneke, Holzman and Moran, FOCS 2021): realizable samples are
+the vertices, a sample's candidate keys are its list, and samples that
+disagree on a shared point must not share a key.  ``list_coloring`` is the
+one exact search behind it and behind ``lowerbound.chromatic_number``.
+
 A scheme is a deterministic pair (compress, reconstruct): compress maps a
 realizable sample to a key holding a subsample of it plus a bit string;
 reconstruct maps the key to a total concept that must agree with every entry
@@ -230,88 +236,304 @@ class TableScheme:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "TableScheme":
+    def from_json(data: object) -> "TableScheme":
+        """Parse the document ``to_json`` writes; ValueError when any part
+        of it has the wrong shape or type."""
         if not isinstance(data, dict) or data.get("kind") != "table":
             raise ValueError("not a table-scheme document")
-        compress_table = tuple(
-            (
-                sample_from_json(raw_sample),
-                CompressionKey(sample_from_json(raw_key[0]), raw_key[1]),
+        domain_size = data.get("domain_size")
+        if (
+            not isinstance(domain_size, int)
+            or isinstance(domain_size, bool)
+            or domain_size < 0
+        ):
+            raise ValueError(
+                f"domain_size must be a non-negative integer, got {domain_size!r}"
             )
-            for raw_sample, raw_key in data["compress"]
-        )
+        compress_table = []
+        for raw_sample, raw_key in _table_rows(data, "compress", 2):
+            if not isinstance(raw_key, list) or len(raw_key) != 2:
+                raise ValueError(
+                    f"compression key must be a [subsample, bits] array, got "
+                    f"{raw_key!r}"
+                )
+            compress_table.append(
+                (sample_from_json(raw_sample), _key_from_json(*raw_key))
+            )
         reconstruct_table = tuple(
-            (CompressionKey(sample_from_json(raw_sub), bits), tuple(concept))
-            for raw_sub, bits, concept in data["reconstruct"]
+            (_key_from_json(raw_sub, bits), _concept_from_json(concept, domain_size))
+            for raw_sub, bits, concept in _table_rows(data, "reconstruct", 3)
         )
         return TableScheme(
-            domain_size=data["domain_size"],
-            compress_table=compress_table,
+            domain_size=domain_size,
+            compress_table=tuple(compress_table),
             reconstruct_table=reconstruct_table,
-            default_concept=tuple(data["default"]),
+            default_concept=_concept_from_json(data.get("default"), domain_size),
         )
+
+
+def _table_rows(data: dict, name: str, width: int) -> list:
+    rows = data.get(name)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == width for row in rows
+    ):
+        raise ValueError(f"{name!r} must be an array of {width}-element arrays")
+    return rows
+
+
+def _key_from_json(raw_sub: object, bits: object) -> CompressionKey:
+    if not isinstance(bits, str):
+        raise ValueError(f"bits must be a 0/1 string, got {bits!r}")
+    return CompressionKey(sample_from_json(raw_sub), bits)
+
+
+def _concept_from_json(raw: object, domain_size: int) -> tuple[int, ...]:
+    if (
+        not isinstance(raw, list)
+        or len(raw) != domain_size
+        or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw
+        )
+    ):
+        raise ValueError(
+            f"concept must be an array of {domain_size} non-negative integer "
+            f"labels, got {raw!r}"
+        )
+    return tuple(raw)
+
+
+# --- exact list coloring -----------------------------------------------------
+
+
+def _clique_exceeds_lists(
+    lists: Sequence[Sequence[int]], conflicts: Sequence[int]
+) -> bool:
+    """True when a greedy clique of pairwise conflicting vertices has more
+    members than the union of their lists, which no list coloring survives.
+
+    The clique starts at the vertex with the shortest list (ties: most
+    conflicts, then lowest index) and repeatedly adds the candidate that
+    brings the fewest new colors (ties: most conflicts within the remaining
+    candidates, then lowest index).
+    """
+    if not lists:
+        return False
+    start = min(
+        range(len(lists)),
+        key=lambda v: (len(lists[v]), -conflicts[v].bit_count(), v),
+    )
+    colors = set(lists[start])
+    size = 1
+    candidates = conflicts[start]
+    while candidates and size <= len(colors):
+        best = None
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            rank = (
+                sum(1 for c in lists[w] if c not in colors),
+                -(conflicts[w] & candidates).bit_count(),
+                w,
+            )
+            if best is None or rank < best:
+                best = rank
+        w = best[2]
+        colors.update(lists[w])
+        size += 1
+        candidates &= conflicts[w]
+    return size > len(colors)
+
+
+def list_coloring(
+    lists: Sequence[Sequence[int]],
+    conflicts: Sequence[int],
+    *,
+    node_budget: Optional[int] = None,
+) -> Optional[list[int]]:
+    """One color per vertex, taken from its list, such that no two
+    conflicting vertices share a color; None when exhaustive search rules
+    every such coloring out.
+
+    Vertex v may take the colors ``lists[v]``: small non-negative ints in
+    ascending order.  ``conflicts[v]`` is the int bitset of the vertices
+    that conflict with v (symmetric, without v itself).
+
+    The search is iterative, with an explicit stack:
+
+    * a greedy clique whose members outnumber the union of their lists
+      refutes the instance before any search;
+    * the next vertex is the unassigned one with the fewest usable colors
+      (DSatur, Brelaz 1979), ties to the lowest index; the scan stops at
+      the first vertex with at most one;
+    * colors listed by exactly the same vertices are interchangeable, so of
+      those that no vertex uses yet only the lowest is tried (for lists
+      ``range(c)`` this is the usual "open color max+1" rule);
+    * a vertex tries its usable colors in list order.
+
+    Raises BudgetError when more than ``node_budget`` colors have been
+    tried (one node per color tried).
+    """
+    n = len(lists)
+    if _clique_exceeds_lists(lists, conflicts):
+        return None
+    holders: dict[int, int] = {}
+    for v, colors in enumerate(lists):
+        for c in colors:
+            holders[c] = holders.get(c, 0) | (1 << v)
+    n_colors = max(holders, default=-1) + 1
+    # Interchangeable colors form a class.  Classes open their colors in
+    # ascending order and close them in reverse (stack order), so the used
+    # colors of a class are always a prefix of it: color c is usable when
+    # it is used and not forbidden, or when it is the first unused one.
+    classes: dict[int, list[int]] = {}
+    for c in sorted(holders):
+        classes.setdefault(holders[c], []).append(c)
+    slot = [(0, 0)] * n_colors  # color -> (its class, its rank there)
+    for cl, colors in enumerate(classes.values()):
+        for rank, c in enumerate(colors):
+            slot[c] = (cl, rank)
+    opened = [0] * len(classes)
+    options_of = [tuple((c, *slot[c]) for c in colors) for colors in lists]
+    forbidden = [0] * n_colors  # vertices conflicting with a holder of c
+    members = [0] * n_colors
+    color_of = [-1] * n
+    free = (1 << n) - 1
+
+    def usable(v: int, bit: int) -> list[int]:
+        out = []
+        for c, cl, rank in options_of[v]:
+            head = opened[cl]
+            if rank == head or (rank < head and not forbidden[c] & bit):
+                out.append(c)
+        return out
+
+    def select() -> Optional[tuple[int, list[int]]]:
+        best_v, best_n = -1, n_colors + 1
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            count = 0
+            for c, cl, rank in options_of[v]:
+                head = opened[cl]
+                if rank == head or (rank < head and not forbidden[c] & bit):
+                    count += 1
+                    if count >= best_n:
+                        break
+            if count < best_n:
+                best_v, best_n = v, count
+                if count <= 1:
+                    break
+        if best_v < 0:
+            return None
+        return best_v, usable(best_v, 1 << best_v)
+
+    nodes = 0
+    first = select()
+    if first is None:
+        return color_of
+    # frame: [vertex, its usable colors, next option, forbidden set of the
+    # color it holds before it took it]
+    stack = [[first[0], first[1], 0, 0]]
+    while stack:
+        frame = stack[-1]
+        v, options, i, saved = frame
+        bit = 1 << v
+        c = color_of[v]
+        if c >= 0:
+            forbidden[c] = saved
+            members[c] -= 1
+            if not members[c]:
+                opened[slot[c][0]] -= 1
+            color_of[v] = -1
+            free |= bit
+        if i == len(options):
+            stack.pop()
+            continue
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetError(f"node budget {node_budget} exhausted")
+        c = options[i]
+        frame[2] = i + 1
+        frame[3] = forbidden[c]
+        forbidden[c] |= conflicts[v]
+        if not members[c]:
+            opened[slot[c][0]] += 1
+        members[c] += 1
+        color_of[v] = c
+        free ^= bit
+        step = select()
+        if step is None:
+            return color_of
+        stack.append([step[0], step[1], 0, 0])
+    return None
 
 
 # --- exact minimum-size oracle ----------------------------------------------
 
-
-def _candidate_keys(
-    sample: Sample, k: int, bit_budget: int
-) -> list[CompressionKey]:
-    subs = set()
-    for size in range(min(k, len(sample)) + 1):
-        subs.update(itertools.combinations(sample.entries, size))
-    keys = []
-    for sub in sorted(subs):
-        for bits in _bitstrings(bit_budget):
-            keys.append(CompressionKey(Sample(sub), bits))
-    return keys
+NODE_BUDGET = 1_000_000
+"""Default search nodes per k-level in ``min_compression_certificate``."""
 
 
 def _find_assignment(
-    samples: Sequence[Sample], k: int, bit_budget: int
+    samples: Sequence[Sample],
+    k: int,
+    bit_budget: int,
+    *,
+    node_budget: Optional[int] = None,
 ) -> Optional[dict[Sample, CompressionKey]]:
-    """Backtracking search for a key assignment whose same-key groups are
-    pairwise conflict-free; None when exhaustive search rules one out.
+    """A key assignment whose same-key groups are pairwise conflict-free,
+    or None when exhaustive search rules one out.
 
     A group is served by a single reconstruction, so two samples may share a
-    key only if they never disagree on a shared domain point.
+    key only if they never disagree on a shared domain point; pairwise
+    agreement then makes the whole group consistent.  That is a list
+    coloring: the samples are the vertices, a sample's keys (sub-multisets
+    of at most k entries, each with a bit string of at most ``bit_budget``
+    bits) are its list, and samples that disagree conflict.
+    ``list_coloring`` does the search; BudgetError after ``node_budget``
+    nodes.
     """
-    candidates = {s: _candidate_keys(s, k, bit_budget) for s in samples}
-    order = sorted(samples, key=lambda s: (len(candidates[s]), s.entries))
-    groups: dict[CompressionKey, dict[int, int]] = {}
-    assignment: dict[Sample, CompressionKey] = {}
-
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        sample = order[pos]
-        for key in candidates[sample]:
-            group = groups.get(key)
-            if group is None:
-                groups[key] = dict(sample.content())
-                assignment[sample] = key
-                if assign(pos + 1):
-                    return True
-                del groups[key]
-                del assignment[sample]
-            else:
-                if any(group.get(i, y) != y for i, y in sample.content()):
-                    continue
-                added = [i for i, _ in sample.content() if i not in group]
-                for i, y in sample.content():
-                    group[i] = y
-                assignment[sample] = key
-                if assign(pos + 1):
-                    return True
-                for i in added:
-                    del group[i]
-                del assignment[sample]
-        return False
-
-    if assign(0):
-        return dict(assignment)
-    return None
+    bitstrings = list(_bitstrings(bit_budget))
+    subs_of = []
+    for sample in samples:
+        subs = set()
+        for size in range(min(k, len(sample)) + 1):
+            subs.update(itertools.combinations(sample.entries, size))
+        subs_of.append(sorted(subs))
+    # key id = sub-multiset rank * |bit strings| + bit string rank, so that
+    # ascending ids are the candidate order (sub-multiset, then bits)
+    sub_ids = {sub: i for i, sub in enumerate(sorted(set().union(*subs_of)))}
+    width = len(bitstrings)
+    lists = [
+        [sub_ids[sub] * width + j for sub in subs for j in range(width)]
+        for subs in subs_of
+    ]
+    at_point: dict[int, int] = {}
+    at_entry: dict[tuple[int, int], int] = {}
+    for v, sample in enumerate(samples):
+        bit = 1 << v
+        for i, y in sample.entries:
+            at_point[i] = at_point.get(i, 0) | bit
+            at_entry[i, y] = at_entry.get((i, y), 0) | bit
+    conflicts = []
+    for sample in samples:
+        row = 0
+        for i, y in sample.entries:
+            row |= at_point[i] ^ at_entry[i, y]
+        conflicts.append(row)
+    colors = list_coloring(lists, conflicts, node_budget=node_budget)
+    if colors is None:
+        return None
+    subs_by_id = list(sub_ids)
+    keys: dict[int, CompressionKey] = {}
+    for c in set(colors):
+        sub, j = divmod(c, width)
+        keys[c] = CompressionKey(Sample(subs_by_id[sub]), bitstrings[j])
+    return {sample: keys[c] for sample, c in zip(samples, colors)}
 
 
 def _assignment_to_table(
@@ -344,16 +566,23 @@ def min_compression_certificate(
     *,
     max_k: Optional[int] = None,
     sample_budget: int = 20000,
+    node_budget: int = NODE_BUDGET,
 ) -> tuple[int, Optional[TableScheme]]:
     """Smallest k admitting a valid order-insensitive scheme with subsample
     size <= k and bit length <= bit_budget over all realizable samples of
     size m, plus a replayable certificate scheme at that k.
 
-    Determined by exact search over key assignments: samples sharing a key
-    must be pairwise conflict-free because one total reconstruction must
-    serve them all.  Returns (math.inf, None) when no scheme exists within
-    ``max_k`` (default m, which always suffices: the identity assignment
-    puts every sample in its own group).
+    Determined by exact search over key assignments, one k-level at a time
+    from 0 (``_find_assignment``): samples sharing a key must be pairwise
+    conflict-free because one total reconstruction must serve them all.
+    Returns (math.inf, None) when no scheme exists within ``max_k`` (default
+    m, which always suffices: the identity assignment puts every sample in
+    its own group).
+
+    Raises BudgetError when more than ``sample_budget`` samples are
+    realizable, or when the search of one k-level tries more than
+    ``node_budget`` nodes; the latter names the levels already refuted, and
+    its ``report`` holds them as ``{"m", "bit_budget", "k", "refuted"}``.
     """
     samples = []
     for sample in enumerate_realizable_samples(cls, m):
@@ -371,10 +600,26 @@ def min_compression_certificate(
             reconstruct_table=(),
             default_concept=(0,) * cls.domain_size,
         )
+    refuted: list[int] = []
     for k in range(max_k + 1):
-        assignment = _find_assignment(samples, k, bit_budget)
+        try:
+            assignment = _find_assignment(
+                samples, k, bit_budget, node_budget=node_budget
+            )
+        except BudgetError:
+            raise BudgetError(
+                f"node budget {node_budget} exhausted at k={k}; refuted "
+                f"k-levels: {refuted}",
+                report={
+                    "m": m,
+                    "bit_budget": bit_budget,
+                    "k": k,
+                    "refuted": list(refuted),
+                },
+            ) from None
         if assignment is not None:
             return k, _assignment_to_table(cls, assignment)
+        refuted.append(k)
     return math.inf, None
 
 

@@ -3,7 +3,8 @@ the partial class of a biclique partition properly colors the underlying
 graph, so its size is at least the chromatic number; a compression scheme's
 key space caps the size from above.  Composing the two yields per-instance
 certificates: counting ceiling >= extracted disambiguation size >= chromatic
-floor.
+floor.  The chromatic floor is exact, from the list-coloring search that the
+minimum-compression oracle also uses (``compression.list_coloring``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from conceptlab.compression import (
     CompressionScheme,
     counting_bound,
     extract_disambiguation,
+    list_coloring,
     verify_scheme,
 )
 from conceptlab.constructions import (
@@ -102,11 +104,9 @@ def extract_coloring(
 
 
 def chromatic_number(graph: Graph) -> int:
-    """Exact chromatic number via branch and bound (at most 10 vertices).
-
-    Vertices are colored in descending-degree order; a new color is opened
-    only as color max+1 (symmetry breaking), and branches using at least the
-    best-known color count are pruned.
+    """Exact chromatic number (at most 10 vertices): the smallest c for
+    which ``list_coloring`` colors the graph from the lists ``range(c)``,
+    trying c = 0, 1, 2, ... in turn.
     """
     n = graph.vertex_count
     if n > CHROMATIC_MAX_VERTICES:
@@ -114,49 +114,14 @@ def chromatic_number(graph: Graph) -> int:
             f"exact chromatic search capped at {CHROMATIC_MAX_VERTICES} "
             f"vertices, got {n}"
         )
-    if n == 0:
-        return 0
-    adj = graph.adjacency()
-    if not graph.edges:
-        return 1
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    colors = [-1] * n
-    best = n
-
-    def greedy_bound() -> int:
-        tmp = [-1] * n
-        for v in order:
-            used = {tmp[u] for u in adj[v] if tmp[u] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            tmp[v] = c
-        return max(tmp) + 1
-
-    best = greedy_bound()
-
-    def descend(pos: int, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
-        if pos == n:
-            best = used
-            return
-        v = order[pos]
-        taken = {colors[u] for u in adj[v] if colors[u] >= 0}
-        for c in range(used):
-            if c in taken:
-                continue
-            colors[v] = c
-            descend(pos + 1, used)
-            colors[v] = -1
-        if used + 1 < best:
-            colors[v] = used
-            descend(pos + 1, used + 1)
-            colors[v] = -1
-
-    descend(0, 0)
-    return best
+    conflicts = [0] * n
+    for u, v in graph.edges:
+        conflicts[u] |= 1 << v
+        conflicts[v] |= 1 << u
+    c = 0
+    while list_coloring([range(c)] * n, conflicts) is None:
+        c += 1
+    return c
 
 
 @dataclass(frozen=True)

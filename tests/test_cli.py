@@ -164,6 +164,63 @@ class TestCompressionCommands:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["reports"][0]["valid"]
 
+    @pytest.mark.parametrize(
+        "field, value", [("compress", 5), ("default", 7)],
+        ids=["int-compress", "int-default"],
+    )
+    def test_malformed_table_scheme_is_usage_error(
+        self, hl_file, tmp_path, capsys, field, value
+    ):
+        cert = tmp_path / "cert.json"
+        run_cli(
+            "min-compression", "--class", str(hl_file), "--m", "2",
+            "--bits", "0", "--certificate", str(cert),
+        )
+        doc = json.loads(cert.read_text(encoding="utf-8"))
+        doc[field] = value
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(
+            "verify-compression", "--class", str(hl_file), "--scheme",
+            f"file:{cert}", "--m", "2",
+        )
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, m, k",
+        [("one-concept-12", 4, 0), ("haussler-long-5-3-2", 3, 2)],
+    )
+    def test_large_min_compression_is_deterministic(self, tmp_path, name, m, k):
+        # 1,365 samples at k = 0 and 385 samples at k = 2; two processes
+        # (different string hash seeds) write the same report and
+        # certificate bytes
+        cls_file = tmp_path / f"{name}.json"
+        if name == "one-concept-12":
+            doc = {"domain_size": 12, "kind": "total", "concepts": [[0] * 12]}
+            cls_file.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            run_cli(
+                "gen", "--family", "haussler-long", "--points", "5",
+                "--labels", "3", "--max-nonzero", "2", "--out", str(cls_file),
+            )
+        cert = tmp_path / "cert.json"
+        runs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "conceptlab.cli", "min-compression",
+                 "--class", str(cls_file), "--m", str(m), "--bits", "0",
+                 "--certificate", str(cert)],
+                capture_output=True,
+                env=SUBPROCESS_ENV,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, cert.read_bytes()))
+        assert runs[0] == runs[1]
+        data = json.loads(runs[0][0])
+        assert data["k"] == k
+        assert data["certificate_valid"] is True
+
     def test_extract_disambiguation(self, tmp_path, capsys):
         cls_file = tmp_path / "b3.json"
         run_cli("gen", "--family", "biclique", "--t", "3", "--out", str(cls_file))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from conceptlab.core import (
     STAR,
     ClassKind,
@@ -201,6 +202,50 @@ class TestMinCompressionSize:
             if k > 0:
                 samples = list(enumerate_realizable_samples(cls, 2))
                 assert _find_assignment(samples, k - 1, 0) is None
+
+
+    def test_node_budget_names_refuted_levels(self):
+        # k = 0 is refuted before any search node; k = 1 needs more than
+        # ten nodes (one per sample at least)
+        cls = haussler_long_class(3, 2, 2)
+        with pytest.raises(BudgetError) as info:
+            min_compression_certificate(cls, 4, 0, node_budget=10)
+        assert "refuted k-levels: [0]" in str(info.value)
+        assert info.value.report == {
+            "m": 4, "bit_budget": 0, "k": 1, "refuted": [0],
+        }
+
+    def test_feasibility_agrees_with_bruteforce_oracle(self):
+        # every level k <= m of small seeded partial classes: the search
+        # admits a key assignment exactly when the definition-literal
+        # oracle finds a scheme of size <= k
+        rng = random.Random(2024)
+        cases = []
+        while len(cases) < 60:
+            n, labels = rng.randrange(1, 4), rng.randrange(2, 4)
+            rows = {
+                tuple(
+                    STAR if rng.random() < 0.3 else rng.randrange(labels)
+                    for _ in range(n)
+                )
+                for _ in range(rng.randrange(2, 5))
+            }
+            rows = sorted(r for r in rows if any(v != STAR for v in r))
+            m, bits = rng.randrange(1, 3), rng.randrange(2)
+            if not rows:
+                continue
+            cls = ConceptClass(n, tuple(rows), ClassKind.PARTIAL)
+            samples = list(enumerate_realizable_samples(cls, m))
+            if len(samples) <= 6:
+                cases.append((cls, m, bits, samples))
+        outcomes = set()
+        for cls, m, bits, samples in cases:
+            best = oracles.min_compression_bruteforce(cls.concepts, m, m, bits)
+            for k in range(m + 1):
+                got = _find_assignment(samples, k, bits) is not None
+                assert got == (best is not None and best <= k), (cls, m, bits, k)
+                outcomes.add(got)
+        assert outcomes == {True, False}
 
 
 class TestTableScheme:

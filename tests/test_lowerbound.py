@@ -2,6 +2,7 @@
 counting-ceiling / chromatic-floor certificate."""
 
 import itertools
+import random
 
 import pytest
 
@@ -66,6 +67,20 @@ class TestChromaticNumber:
             assert chromatic_number(
                 Graph(5, edges)
             ) == oracles.chromatic_number_bruteforce(5, edges)
+
+
+    def test_matches_bruteforce_on_random_six_and_seven_vertex_graphs(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            n = rng.choice((6, 7))
+            density = rng.random()
+            edges = frozenset(
+                e for e in itertools.combinations(range(n), 2)
+                if rng.random() < density
+            )
+            assert chromatic_number(
+                Graph(n, edges)
+            ) == oracles.chromatic_number_bruteforce(n, edges), edges
 
 
 class TestExtractColoring:
