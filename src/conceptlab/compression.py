@@ -409,7 +409,10 @@ def list_coloring(
                 out.append(c)
         return out
 
-    def select() -> Optional[tuple[int, list[int]]]:
+    def select() -> Optional[list]:
+        """The stack frame of the next vertex, or None when all are colored:
+        [vertex, its usable colors, next option, the forbidden set of the
+        color it holds before it took it]."""
         best_v, best_n = -1, n_colors + 1
         rest = free
         while rest:
@@ -429,15 +432,13 @@ def list_coloring(
                     break
         if best_v < 0:
             return None
-        return best_v, usable(best_v, 1 << best_v)
+        return [best_v, usable(best_v, 1 << best_v), 0, 0]
 
     nodes = 0
     first = select()
     if first is None:
         return color_of
-    # frame: [vertex, its usable colors, next option, forbidden set of the
-    # color it holds before it took it]
-    stack = [[first[0], first[1], 0, 0]]
+    stack = [first]
     while stack:
         frame = stack[-1]
         v, options, i, saved = frame
@@ -468,7 +469,7 @@ def list_coloring(
         step = select()
         if step is None:
             return color_of
-        stack.append([step[0], step[1], 0, 0])
+        stack.append(step)
     return None
 
 
