@@ -51,7 +51,7 @@ class CompressionKey:
     bits: str = ""
 
     def __post_init__(self) -> None:
-        if any(c not in "01" for c in self.bits):
+        if self.bits.strip("01"):
             raise ValueError(f"bits must be a 0/1 string, got {self.bits!r}")
 
     def size(self) -> int:
@@ -121,7 +121,8 @@ def verify_scheme(
 ) -> SchemeReport:
     """Run the scheme over every realizable sample of size m and check the
     compression contract: the subsample is drawn from the sample, and the
-    reconstruction agrees with every entry.
+    reconstruction agrees with every entry.  Each distinct reconstructed
+    concept is checked once for being total over the domain.
 
     Raises BudgetError (carrying the partial report, valid=None) when more
     than ``sample_budget`` samples would be checked.
@@ -129,6 +130,7 @@ def verify_scheme(
     failures: list[tuple[Sample, int]] = []
     k_of_m = 0
     checked = 0
+    total_concepts: set[tuple[int, ...]] = set()
     for sample in enumerate_realizable_samples(cls, m):
         if sample_budget is not None and checked >= sample_budget:
             raise BudgetError(
@@ -143,17 +145,19 @@ def verify_scheme(
             )
         checked += 1
         key = scheme.compress(sample)
-        k_of_m = max(k_of_m, len(key.subsample), len(key.bits))
+        k_of_m = max(k_of_m, len(key.subsample.entries), len(key.bits))
         bad = _subsample_violation(key.subsample, sample)
         if bad is not None:
             failures.append((sample, bad))
             continue
         concept = scheme.reconstruct(key)
-        if len(concept) != cls.domain_size or any(v == STAR for v in concept):
-            raise ContractViolationError(
-                f"scheme {scheme.name!r} reconstructed an invalid concept "
-                f"{concept} for key {key}"
-            )
+        if tuple(concept) not in total_concepts:
+            if len(concept) != cls.domain_size or any(v == STAR for v in concept):
+                raise ContractViolationError(
+                    f"scheme {scheme.name!r} reconstructed an invalid concept "
+                    f"{concept} for key {key}"
+                )
+            total_concepts.add(tuple(concept))
         for i, y in sample.entries:
             if concept[i] != y:
                 failures.append((sample, i))
@@ -533,7 +537,7 @@ def _find_assignment(
     keys: dict[int, CompressionKey] = {}
     for c in set(colors):
         sub, j = divmod(c, width)
-        keys[c] = CompressionKey(Sample(subs_by_id[sub]), bitstrings[j])
+        keys[c] = CompressionKey(Sample._canonical(subs_by_id[sub]), bitstrings[j])
     return {sample: keys[c] for sample, c in zip(samples, colors)}
 
 
@@ -656,8 +660,16 @@ def extract_disambiguation(
     """Apply the reconstruction to every (realizable sample of size <= k,
     bit string of length <= bit_budget) key and collect the distinct total
     concepts.  The collected class is checked to disambiguate ``cls``: every
-    realizable sample must be matched by some extracted concept; a miss
-    raises ContractViolationError naming the sample.
+    realizable sample of size up to the support size must be matched by
+    some extracted concept; a miss raises ContractViolationError naming a
+    concept's full content.
+
+    The check runs on maximal contents.  The content of a realizable sample
+    is a subset of the defined (point, label) pairs D_c of some concept c,
+    and D_c is itself the content of a realizable sample of size |D_c|, at
+    most the support size.  So every such sample is matched exactly when,
+    for every concept c with nonempty D_c, some extracted concept agrees
+    with c on all of D_c.
 
     The caller is responsible for the scheme being valid on ``cls`` for all
     sample sizes up to the support size; the reconstruction must tolerate
@@ -678,21 +690,14 @@ def extract_disambiguation(
             if concept not in seen:
                 seen.add(concept)
                 concepts.append(tuple(concept))
-    support = cls.support_indices()
-    cap = max(len(support), 1)
-    covered_contents: set[tuple[tuple[int, int], ...]] = set()
-    for size in range(1, cap + 1):
-        for sample in enumerate_realizable_samples(cls, size):
-            content = sample.content()
-            if content in covered_contents:
-                continue
-            covered_contents.add(content)
-            if not any(
-                all(concept[i] == y for i, y in content) for concept in concepts
-            ):
-                raise ContractViolationError(
-                    f"extracted set fails to disambiguate sample {content}"
-                )
+    for source in cls.concepts:
+        content = tuple((i, y) for i, y in enumerate(source) if y != STAR)
+        if content and not any(
+            all(concept[i] == y for i, y in content) for concept in concepts
+        ):
+            raise ContractViolationError(
+                f"extracted set fails to disambiguate sample {content}"
+            )
     return ConceptClass(
         domain_size=cls.domain_size,
         concepts=tuple(concepts),
@@ -889,28 +894,29 @@ def star_biclique_scheme(t: int) -> CompressionScheme:
     if t < 2:
         raise ValueError("star partition needs t >= 2")
     n = t - 1
-
-    def totalized(v: int) -> tuple[int, ...]:
-        return tuple(1 if i < v else (0 if i == v else 2) for i in range(n))
-
+    totalized = [
+        tuple(1 if i < v else (0 if i == v else 2) for i in range(n))
+        for v in range(n)
+    ]
     all_ones = (1,) * n
 
     def compress(sample: Sample) -> CompressionKey:
         if not sample.entries:
             raise RealizabilityError("cannot compress an empty sample")
-        zeros = [(i, y) for i, y in sample.entries if y == 0]
-        if zeros:
-            return CompressionKey(Sample((zeros[0],)), "")
-        top = max(sample.entries)
-        return CompressionKey(Sample((top,)), "")
+        for entry in sample.entries:
+            if entry[1] == 0:
+                return CompressionKey(Sample._canonical((entry,)), "")
+        # entries are sorted, so the last one has the highest index
+        return CompressionKey(Sample._canonical(sample.entries[-1:]), "")
 
     def reconstruct(key: CompressionKey) -> tuple[int, ...]:
         entries = key.subsample.entries
         if not entries:
             return all_ones
         index, label = entries[0]
-        if label == 0:
-            return totalized(index)
+        if label == 0 and index < n:
+            return totalized[index]
+        # a part index past n pins no vertex: its totalization is all ones
         return all_ones
 
     return CompressionScheme(

@@ -42,13 +42,6 @@ class Graph:
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def complete_graph(t: int) -> Graph:
     if t < 1:

@@ -15,7 +15,6 @@ for concurrent use on shared values.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -122,6 +121,15 @@ class Sample:
             entries.append((index, label))
         object.__setattr__(self, "entries", tuple(sorted(entries)))
 
+    @classmethod
+    def _canonical(cls, entries: tuple[tuple[int, int], ...]) -> "Sample":
+        """Trusted construction from entries that are already canonical:
+        sorted (index, defined label) pairs with non-negative ints.  Skips
+        the checks and the sort; public construction keeps both."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "entries", entries)
+        return sample
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -146,9 +154,6 @@ class PatternSet:
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    def __contains__(self, pattern: tuple[int, ...]) -> bool:
-        return tuple(pattern) in self.patterns
 
 
 def _pattern_sort_key(pattern: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -182,17 +187,52 @@ def enumerate_realizable_samples(cls: ConceptClass, m: int) -> Iterator[Sample]:
     """Yield every realizable sample of size exactly m, in canonical order.
 
     Samples are multisets; one realizable by several concepts is yielded
-    once.  The stream is finite and deterministic.
+    once.  The order is ascending lexicographic order of the sorted entry
+    tuples.  The stream is finite, deterministic and lazy: a depth-first
+    search over the sorted distinct defined (point, label) pairs of the
+    class picks pair indices in nondecreasing order, ANDs the int bitsets
+    of the concepts holding each pair, and drops a prefix as soon as no
+    concept is left.  Beyond that pair table it holds O(m) state.
     """
     if m < 1:
         raise ValueError("sample size must be at least 1")
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for concept in cls.concepts:
-        pairs = [(i, v) for i, v in enumerate(concept) if v != STAR]
-        for combo in itertools.combinations_with_replacement(pairs, m):
-            seen.add(combo)
-    for entries in sorted(seen):
-        yield Sample(entries)
+    holders: dict[tuple[int, int], int] = {}
+    for c, concept in enumerate(cls.concepts):
+        bit = 1 << c
+        for i, v in enumerate(concept):
+            if v != STAR:
+                holders[i, v] = holders.get((i, v), 0) | bit
+    pairs = sorted(holders)
+    masks = [holders[p] for p in pairs]
+    tails = [(p,) for p in pairs]
+    n = len(pairs)
+    new = Sample._canonical
+    prefix: list[tuple[int, int]] = []
+    start = [0] * m  # next pair index to try at each depth
+    alive = [(1 << cls.n_concepts) - 1] + [0] * (m - 1)  # concepts left per depth
+    depth = 0
+    while depth >= 0:
+        j = start[depth]
+        live = alive[depth]
+        if depth == m - 1:
+            # the last entry: every pair some live concept holds completes one
+            head = tuple(prefix)
+            for k in range(j, n):
+                if live & masks[k]:
+                    yield new(head + tails[k])
+        else:
+            while j < n and not live & masks[j]:
+                j += 1
+            if j < n:
+                start[depth] = j + 1
+                prefix.append(pairs[j])
+                alive[depth + 1] = live & masks[j]
+                depth += 1
+                start[depth] = j
+                continue
+        depth -= 1
+        if prefix:
+            prefix.pop()
 
 
 def dual(cls: ConceptClass) -> ConceptClass:

@@ -28,7 +28,7 @@ from conceptlab.constructions import (
 from conceptlab.core import STAR, ClassKind, ConceptClass
 from conceptlab.errors import BudgetError, ContractViolationError
 
-CHROMATIC_MAX_VERTICES = 10
+CHROMATIC_MAX_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def extract_coloring(
 
 
 def chromatic_number(graph: Graph) -> int:
-    """Exact chromatic number (at most 10 vertices): the smallest c for
+    """Exact chromatic number (at most 12 vertices): the smallest c for
     which ``list_coloring`` colors the graph from the lists ``range(c)``,
     trying c = 0, 1, 2, ... in turn.
     """

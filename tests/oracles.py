@@ -32,6 +32,22 @@ def realizable_multisets(concepts, m, label_universe):
     return out
 
 
+def covers_realizable_contents(concepts, totals):
+    """True when every realizable multiset of size 1 up to the support size
+    (the points some concept defines) agrees on every entry with some
+    concept in ``totals``, checked by enumerating all of them."""
+    if not concepts:
+        return True
+    n = len(concepts[0])
+    labels = sorted({y for c in concepts for y in c if y != STAR})
+    support = [i for i in range(n) if any(c[i] != STAR for c in concepts)]
+    for m in range(1, max(len(support), 1) + 1):
+        for sample in realizable_multisets(concepts, m, labels):
+            if not any(all(t[i] == y for i, y in sample) for t in totals):
+                return False
+    return True
+
+
 def is_realizable(concepts, entries):
     return any(all(c[i] == y for i, y in entries) for c in concepts)
 

@@ -37,6 +37,7 @@ from conceptlab.constructions import (
 )
 from conceptlab.dimensions import ShatterKind, dimension
 from conceptlab.errors import BudgetError, ContractViolationError
+from conceptlab.random_classes import random_partial_class
 
 
 def tclass(*rows):
@@ -109,6 +110,30 @@ class TestVerifyScheme:
             verify_scheme(cls, scheme, 3, sample_budget=5)
         assert info.value.report.valid is None
         assert info.value.report.samples_checked == 5
+
+    def test_sample_budget_trips_while_streaming(self):
+        # one concept on 60 points has C(67, 8), about 6.5e9, samples of
+        # size 8; the budget must trip without enumerating them
+        cls = tclass((0,) * 60)
+        with pytest.raises(BudgetError) as info:
+            verify_scheme(cls, constant_scheme((0,) * 60), 8, sample_budget=100)
+        assert info.value.report.samples_checked == 100
+        assert info.value.report.valid is None
+
+    def test_invalid_reconstruction_is_caught_on_a_later_sample(self):
+        # the first samples reconstruct a valid concept, a later one does not
+        cls = tclass((0, 0), (1, 1))
+
+        def reconstruct(key):
+            return (STAR, 1) if key.subsample.entries[0][1] == 1 else (0, 0)
+
+        scheme = CompressionScheme(
+            "half-valid",
+            lambda s: CompressionKey(Sample((s.entries[-1],)), ""),
+            reconstruct,
+        )
+        with pytest.raises(ContractViolationError):
+            verify_scheme(cls, scheme, 2)
 
 
 class TestCountingBound:
@@ -295,6 +320,56 @@ class TestExtractDisambiguation:
         cls = biclique_class(star_partition(3))
         with pytest.raises(ContractViolationError):
             extract_disambiguation(cls, star_biclique_scheme(3), 0, 0)
+
+    def test_coverage_check_agrees_with_enumerating_oracle(self):
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            cls = random_partial_class(
+                rng, n, rng.randint(1, 4), rng.randint(1, 3), star_probability=0.4
+            )
+            labels = range(max(cls.labels_used(), default=0) + 1)
+            pool = [
+                tuple(rng.choice(labels) for _ in range(n))
+                for _ in range(rng.randint(1, 4))
+            ]
+            k, bits = rng.randint(0, 2), rng.randint(0, 1)
+            if rng.random() < 0.3:
+                inner = constant_scheme(rng.choice(pool))
+            else:
+                keys = [
+                    CompressionKey(Sample(entries), b)
+                    for size in range(k + 1)
+                    for entries in sorted(
+                        oracles.realizable_multisets(cls.concepts, size, labels)
+                    )
+                    for b in ("", "0", "1")[: 2 ** (bits + 1) - 1]
+                ]
+                table = TableScheme(
+                    domain_size=n,
+                    compress_table=(),
+                    reconstruct_table=tuple((key, rng.choice(pool)) for key in keys),
+                    default_concept=rng.choice(pool),
+                )
+                inner = table.as_scheme()
+            extracted = []
+
+            def reconstruct(key, inner=inner, extracted=extracted):
+                concept = inner.reconstruct(key)
+                extracted.append(concept)
+                return concept
+
+            scheme = CompressionScheme("recorded", inner.compress, reconstruct)
+            try:
+                extract_disambiguation(cls, scheme, k, bits)
+                raised = False
+            except ContractViolationError:
+                raised = True
+            covered = oracles.covers_realizable_contents(cls.concepts, extracted)
+            assert raised is not covered, (cls, k, bits)
+            outcomes.add(raised)
+        assert outcomes == {False, True}
 
 
 class TestBinaryReduction:

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conceptlab.core import (
@@ -114,7 +116,39 @@ class TestRealizability:
                         assert is_realizable(cls, Sample(sub))
 
 
+@st.composite
+def small_partial_classes(draw):
+    """A partial class on at most 4 points and 3 labels, with the labels."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.integers(1, 3))
+    cell = st.sampled_from((STAR,) + tuple(range(labels)))
+    rows = draw(st.lists(st.tuples(*[cell] * n), min_size=1, max_size=6, unique=True))
+    return ConceptClass(n, tuple(rows), ClassKind.PARTIAL), range(labels)
+
+
 class TestEnumerate:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(small_partial_classes(), st.integers(1, 4))
+    def test_streamed_order_is_the_sorted_oracle_set(self, drawn, m):
+        cls, labels = drawn
+        got = [s.entries for s in enumerate_realizable_samples(cls, m)]
+        assert got == sorted(oracles.realizable_multisets(cls.concepts, m, labels))
+
+    def test_stream_is_lazy(self):
+        # one concept on 60 points has C(67, 8), about 6.5e9, samples of size 8
+        cls = tclass((0,) * 60)
+        first = itertools.islice(enumerate_realizable_samples(cls, 8), 5)
+        assert [s.entries for s in first] == [
+            ((0, 0),) * 7 + ((j, 0),) for j in range(5)
+        ]
+
+    def test_yielded_samples_equal_public_construction(self):
+        cls = pclass((0, STAR, 1), (1, 0, STAR))
+        for m in (1, 2, 3):
+            for sample in enumerate_realizable_samples(cls, m):
+                again = Sample(tuple(reversed(sample.entries)))
+                assert sample == again and hash(sample) == hash(again)
+
     def test_single_concept_m1(self):
         cls = tclass((0, 1))
         got = [s.entries for s in enumerate_realizable_samples(cls, 1)]

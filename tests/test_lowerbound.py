@@ -47,7 +47,14 @@ class TestChromaticNumber:
 
     def test_vertex_guard(self):
         with pytest.raises(BudgetError):
-            chromatic_number(Graph(11, frozenset()))
+            chromatic_number(Graph(13, frozenset()))
+
+    def test_twelve_vertices_at_the_cap(self):
+        assert chromatic_number(complete_graph(12)) == 12
+        cycle11 = frozenset((i, (i + 1) % 11) for i in range(11))
+        assert chromatic_number(Graph(12, cycle11)) == 3
+        k66 = frozenset((u, v) for u in range(6) for v in range(6, 12))
+        assert chromatic_number(Graph(12, k66)) == 2
 
     def test_matches_bruteforce_on_small_graphs(self):
         # every graph on 4 vertices, plus a few 5-vertex ones
