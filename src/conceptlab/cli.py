@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,16 +60,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible invocation: subcommand plus its parameter map."""
-
-    subcommand: str
-    params: dict
-    out: Optional[str] = None
-    seed: int = 0
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -97,67 +86,65 @@ def report_table(results: Sequence[SchemeReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gen(config: RunConfig) -> int:
-    p = config.params
-    family = p["family"]
+def _gen(args: argparse.Namespace) -> int:
+    family = args.family
     if family == "biclique":
-        ts = p["t"] or []
+        ts = args.t or []
         if not ts:
             raise ValueError("--family biclique requires at least one --t")
         blocks = [biclique_class(star_partition(t)) for t in ts]
         cls = blocks[0] if len(blocks) == 1 else union_disjoint(blocks)
     elif family == "disjoint-pairs":
-        if p["rows"] is None:
+        if args.rows is None:
             raise ValueError("--family disjoint-pairs requires --rows")
-        cls = disjoint_pairs_family(p["rows"])
+        cls = disjoint_pairs_family(args.rows)
     elif family == "haussler-long":
-        if None in (p["points"], p["labels"], p["max_nonzero"]):
+        if None in (args.points, args.labels, args.max_nonzero):
             raise ValueError(
                 "--family haussler-long requires --points, --labels, --max-nonzero"
             )
-        cls = haussler_long_class(p["points"], p["labels"], p["max_nonzero"])
+        cls = haussler_long_class(args.points, args.labels, args.max_nonzero)
     elif family == "gdim-blowup-partial":
         cls = graph_dim_blowup_example()[0]
     elif family == "gdim-blowup-total":
         cls = graph_dim_blowup_example()[1]
     elif family == "random":
-        if None in (p["points"], p["concepts"], p["labels"]):
+        if None in (args.points, args.concepts, args.labels):
             raise ValueError(
                 "--family random requires --points, --concepts, --labels"
             )
-        rng = random.Random(config.seed)
-        if p["partial"]:
+        rng = random.Random(args.seed)
+        if args.partial:
             cls = random_partial_class(
-                rng, p["points"], p["concepts"], p["labels"], p["star_prob"]
+                rng, args.points, args.concepts, args.labels, args.star_prob
             )
         else:
-            cls = random_total_class(rng, p["points"], p["concepts"], p["labels"])
+            cls = random_total_class(rng, args.points, args.concepts, args.labels)
     else:
         raise ValueError(f"unknown family {family!r}")
-    if p["disambiguate"]:
+    if args.disambiguate:
         cls = unique_label_disambiguation(cls)
-    _emit(dumps_class(cls), config.out)
+    _emit(dumps_class(cls), args.out)
     return EXIT_OK
 
 
-def _dim(config: RunConfig) -> int:
-    p = config.params
-    cls = _load_class(p["class_file"])
-    kind = ShatterKind(p["kind"])
-    target = dual(cls) if p["dual"] else cls
+def _dim(args: argparse.Namespace) -> int:
+    cls = _load_class(args.class_file)
+    kind = ShatterKind(args.kind)
+    target = dual(cls) if args.dual else cls
     result = dimension(target, kind)
     verified = (
         result.witness.verify(target) if result.witness is not None else None
     )
     payload = {
-        "class": p["class_file"],
+        "class": args.class_file,
         "kind": kind.value,
-        "dual": bool(p["dual"]),
+        "dual": bool(args.dual),
         "dimension": result.value,
         "witness": result.witness.to_json() if result.witness else None,
         "witness_verified": verified,
     }
-    _emit(_json_text(payload), config.out)
+    _emit(_json_text(payload), args.out)
     if verified is False:
         return EXIT_CONTRACT
     return EXIT_OK
@@ -177,119 +164,129 @@ def _make_scheme(
     raise ValueError(f"unknown scheme {spec!r} (use boosted, star, or file:PATH)")
 
 
-def _verify_compression(config: RunConfig) -> int:
-    p = config.params
-    cls = _load_class(p["class_file"])
-    scheme = _make_scheme(p["scheme"], cls, p["subsample_size"])
-    reports = [
-        verify_scheme(cls, scheme, m, sample_budget=p["budget"]) for m in p["m"]
-    ]
+def _verify_compression(args: argparse.Namespace) -> int:
+    """Exit 3 still prints the reports: every completed size, then the one
+    a budget cut short (valid null)."""
+    cls = _load_class(args.class_file)
+    scheme = _make_scheme(args.scheme, cls, args.subsample_size)
+    reports = []
+    cut = None
+    for m in args.m:
+        try:
+            reports.append(verify_scheme(cls, scheme, m, sample_budget=args.budget))
+        except BudgetError as exc:
+            reports.append(exc.report)
+            cut = exc
+            break
     payload = {
-        "class": p["class_file"],
+        "class": args.class_file,
         "scheme": scheme.name,
         "reports": [rep.to_json() for rep in reports],
     }
-    _emit(_json_text(payload), config.out)
-    if p["csv"]:
-        Path(p["csv"]).write_text(report_table(reports), encoding="utf-8")
+    _emit(_json_text(payload), args.out)
+    if args.csv:
+        Path(args.csv).write_text(report_table(reports), encoding="utf-8")
+    if cut is not None:
+        raise cut
     if not all(rep.valid for rep in reports):
         return EXIT_CONTRACT
     return EXIT_OK
 
 
-def _min_compression(config: RunConfig) -> int:
-    p = config.params
-    cls = _load_class(p["class_file"])
-    k, table = min_compression_certificate(cls, p["m"], p["bits"])
-    certificate_valid = None
-    if table is not None:
-        replay = verify_scheme(cls, table.as_scheme("min-compression"), p["m"])
-        certificate_valid = replay.valid
-    payload = {
-        "class": p["class_file"],
-        "m": p["m"],
-        "bit_budget": p["bits"],
-        "k": k if isinstance(k, int) else "unbounded",
-        "certificate_valid": certificate_valid,
-    }
-    _emit(_json_text(payload), config.out)
-    if p["certificate"] and table is not None:
-        Path(p["certificate"]).write_text(
+def _min_compression(args: argparse.Namespace) -> int:
+    """Exit 3 from the node budget still prints the k-levels refuted so far
+    (``k`` and ``certificate_valid`` null)."""
+    cls = _load_class(args.class_file)
+    payload = {"class": args.class_file, "m": args.m, "bit_budget": args.bits}
+    try:
+        k, table = min_compression_certificate(cls, args.m, args.bits)
+    except BudgetError as exc:
+        if exc.report is not None:
+            payload.update(
+                k=None,
+                certificate_valid=None,
+                budget_exhausted_at_k=exc.report["k"],
+                refuted=exc.report["refuted"],
+            )
+            _emit(_json_text(payload), args.out)
+        raise
+    replay = verify_scheme(cls, table.as_scheme("min-compression"), args.m)
+    payload.update(k=k, certificate_valid=replay.valid)
+    _emit(_json_text(payload), args.out)
+    if args.certificate:
+        Path(args.certificate).write_text(
             _json_text(table.to_json()), encoding="utf-8"
         )
-    if certificate_valid is False:
+    if replay.valid is False:
         return EXIT_CONTRACT
     return EXIT_OK
 
 
-def _extract_disambiguation(config: RunConfig) -> int:
-    p = config.params
-    cls = _load_class(p["class_file"])
-    scheme = _make_scheme(p["scheme"], cls, p["subsample_size"])
-    extracted = extract_disambiguation(cls, scheme, p["k"], p["bits"])
+def _extract_disambiguation(args: argparse.Namespace) -> int:
+    cls = _load_class(args.class_file)
+    scheme = _make_scheme(args.scheme, cls, args.subsample_size)
+    extracted = extract_disambiguation(cls, scheme, args.k, args.bits)
     summary = {
-        "class": p["class_file"],
+        "class": args.class_file,
         "scheme": scheme.name,
-        "k": p["k"],
-        "bit_budget": p["bits"],
+        "k": args.k,
+        "bit_budget": args.bits,
         "size": extracted.n_concepts,
         "counting_bound": counting_bound(
-            len(cls.support_indices()), len(cls.labels_used()), p["k"], p["bits"]
+            len(cls.support_indices()), len(cls.labels_used()), args.k, args.bits
         ),
     }
-    if p["class_out"]:
-        Path(p["class_out"]).write_text(dumps_class(extracted), encoding="utf-8")
-    _emit(_json_text(summary), config.out)
+    if args.class_out:
+        Path(args.class_out).write_text(dumps_class(extracted), encoding="utf-8")
+    _emit(_json_text(summary), args.out)
     return EXIT_OK
 
 
-def _pipeline(config: RunConfig) -> int:
-    p = config.params
-    t = p["t"]
-    if p["scheme"] == "builtin":
+def _pipeline(args: argparse.Namespace) -> int:
+    t = args.t
+    if args.scheme == "builtin":
         scheme = star_biclique_scheme(t)
     else:
         cls = biclique_class(star_partition(t))
-        scheme = _make_scheme(p["scheme"], cls, None)
-    report = pipeline_certificate(t, scheme, p["k"], p["bits"])
-    _emit(_json_text(report.to_json()), config.out)
+        scheme = _make_scheme(args.scheme, cls, None)
+    report = pipeline_certificate(t, scheme, args.k, args.bits)
+    _emit(_json_text(report.to_json()), args.out)
     return EXIT_OK if report.ok else EXIT_CONTRACT
 
 
-def _report(config: RunConfig) -> int:
-    p = config.params
+def _report_from_json(raw: object) -> SchemeReport:
+    """One entry of a verify-compression ``reports`` array; ValueError
+    unless it is an object whose sizes are non-negative integers and whose
+    ``valid`` is true, false or null."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"report must be an object, got {raw!r}")
+    for name in ("m", "k_of_m", "samples_checked"):
+        value = raw.get(name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"report {name!r} must be a non-negative integer")
+    if "valid" not in raw or not (
+        raw["valid"] is None or isinstance(raw["valid"], bool)
+    ):
+        raise ValueError("report 'valid' must be true, false or null")
+    return SchemeReport(
+        valid=raw["valid"],
+        m=raw["m"],
+        k_of_m=raw["k_of_m"],
+        failures=(),
+        samples_checked=raw["samples_checked"],
+    )
+
+
+def _report(args: argparse.Namespace) -> int:
     reports: list[SchemeReport] = []
-    for path in p["files"]:
+    for path in args.files:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        for raw in data.get("reports", []):
-            reports.append(
-                SchemeReport(
-                    valid=raw["valid"],
-                    m=raw["m"],
-                    k_of_m=raw["k_of_m"],
-                    failures=(),
-                    samples_checked=raw["samples_checked"],
-                )
-            )
-    text = report_table(reports)
-    _emit(text, config.out)
+        raws = data.get("reports") if isinstance(data, dict) else None
+        if not isinstance(raws, list):
+            raise ValueError(f"{path}: 'reports' must be an array")
+        reports.extend(_report_from_json(raw) for raw in raws)
+    _emit(report_table(reports), args.out)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "gen": _gen,
-    "dim": _dim,
-    "verify-compression": _verify_compression,
-    "min-compression": _min_compression,
-    "extract-disambiguation": _extract_disambiguation,
-    "pipeline": _pipeline,
-    "report": _report,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    return _HANDLERS[config.subcommand](config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,6 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--disambiguate", action="store_true")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out")
+    gen.set_defaults(run=_gen)
 
     dim = sub.add_parser("dim", help="compute a dimension with witness")
     dim.add_argument("--class", required=True, dest="class_file")
@@ -337,6 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dim.add_argument("--dual", action="store_true")
     dim.add_argument("--out")
+    dim.set_defaults(run=_dim)
 
     ver = sub.add_parser(
         "verify-compression", help="exhaustively verify a scheme at sizes m"
@@ -348,6 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--budget", type=int)
     ver.add_argument("--csv", help="also write the k(m) table as CSV")
     ver.add_argument("--out")
+    ver.set_defaults(run=_verify_compression)
 
     mi = sub.add_parser(
         "min-compression", help="exact smallest subsample size at a bit budget"
@@ -357,6 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mi.add_argument("--bits", type=int, required=True)
     mi.add_argument("--certificate", help="write the witness scheme as JSON")
     mi.add_argument("--out")
+    mi.set_defaults(run=_min_compression)
 
     ex = sub.add_parser(
         "extract-disambiguation",
@@ -369,6 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--subsample-size", type=int, dest="subsample_size")
     ex.add_argument("--class-out", dest="class_out")
     ex.add_argument("--out")
+    ex.set_defaults(run=_extract_disambiguation)
 
     pi = sub.add_parser(
         "pipeline", help="chromatic-floor/counting-ceiling certificate on K_t"
@@ -378,34 +380,20 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--bits", type=int, required=True)
     pi.add_argument("--scheme", default="builtin")
     pi.add_argument("--out")
+    pi.set_defaults(run=_pipeline)
 
     rep = sub.add_parser("report", help="merge verification JSONs into CSV")
     rep.add_argument("files", nargs="+")
     rep.add_argument("--out")
+    rep.set_defaults(run=_report)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("subcommand", "out", "seed")
-    }
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    args = _build_parser().parse_args(argv)
     try:
-        return run(config)
+        return args.run(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -482,6 +482,9 @@ def list_coloring(
 NODE_BUDGET = 1_000_000
 """Default search nodes per k-level in ``min_compression_certificate``."""
 
+SAMPLE_BUDGET = 20_000
+"""Most realizable samples ``min_compression_certificate`` searches over."""
+
 
 def _find_assignment(
     samples: Sequence[Sample],
@@ -569,10 +572,8 @@ def min_compression_certificate(
     m: int,
     bit_budget: int,
     *,
-    max_k: Optional[int] = None,
-    sample_budget: int = 20000,
     node_budget: int = NODE_BUDGET,
-) -> tuple[int, Optional[TableScheme]]:
+) -> tuple[int, TableScheme]:
     """Smallest k admitting a valid order-insensitive scheme with subsample
     size <= k and bit length <= bit_budget over all realizable samples of
     size m, plus a replayable certificate scheme at that k.
@@ -580,33 +581,26 @@ def min_compression_certificate(
     Determined by exact search over key assignments, one k-level at a time
     from 0 (``_find_assignment``): samples sharing a key must be pairwise
     conflict-free because one total reconstruction must serve them all.
-    Returns (math.inf, None) when no scheme exists within ``max_k`` (default
-    m, which always suffices: the identity assignment puts every sample in
-    its own group).
+    The answer is at most m: keeping the whole sample (no bits) is a valid
+    size-m assignment, since every sample is its own key and no other
+    sample of size m lists that key.
 
-    Raises BudgetError when more than ``sample_budget`` samples are
+    Raises BudgetError when more than ``SAMPLE_BUDGET`` samples are
     realizable, or when the search of one k-level tries more than
     ``node_budget`` nodes; the latter names the levels already refuted, and
     its ``report`` holds them as ``{"m", "bit_budget", "k", "refuted"}``.
     """
+    if bit_budget < 0:
+        raise ValueError(f"bit budget must be non-negative, got {bit_budget}")
     samples = []
     for sample in enumerate_realizable_samples(cls, m):
         samples.append(sample)
-        if len(samples) > sample_budget:
+        if len(samples) > SAMPLE_BUDGET:
             raise BudgetError(
-                f"more than {sample_budget} realizable samples of size {m}"
+                f"more than {SAMPLE_BUDGET} realizable samples of size {m}"
             )
-    if max_k is None:
-        max_k = m
-    if not samples:
-        return 0, TableScheme(
-            domain_size=cls.domain_size,
-            compress_table=(),
-            reconstruct_table=(),
-            default_concept=(0,) * cls.domain_size,
-        )
     refuted: list[int] = []
-    for k in range(max_k + 1):
+    for k in range(m + 1):
         try:
             assignment = _find_assignment(
                 samples, k, bit_budget, node_budget=node_budget
@@ -625,26 +619,19 @@ def min_compression_certificate(
         if assignment is not None:
             return k, _assignment_to_table(cls, assignment)
         refuted.append(k)
-    return math.inf, None
-
-
-def min_compression_size(
-    cls: ConceptClass,
-    m: int,
-    bit_budget: int,
-    *,
-    max_k: Optional[int] = None,
-    sample_budget: int = 20000,
-) -> int | float:
-    k, table = min_compression_certificate(
-        cls, m, bit_budget, max_k=max_k, sample_budget=sample_budget
+    raise AssertionError(
+        f"k = m = {m} keeps every sample whole and is always feasible, yet "
+        f"the search refuted k-levels {refuted}"
     )
-    if table is not None:
-        report = verify_scheme(cls, table.as_scheme("min-compression"), m)
-        if report.valid is not True:
-            raise ContractViolationError(
-                f"certificate at k={k} failed replay: {report.failures[:3]}"
-            )
+
+
+def min_compression_size(cls: ConceptClass, m: int, bit_budget: int) -> int:
+    k, table = min_compression_certificate(cls, m, bit_budget)
+    report = verify_scheme(cls, table.as_scheme("min-compression"), m)
+    if report.valid is not True:
+        raise ContractViolationError(
+            f"certificate at k={k} failed replay: {report.failures[:3]}"
+        )
     return k
 
 
@@ -737,6 +724,7 @@ def to_binary_class(cls: ConceptClass) -> ConceptClass:
 
 BOOST_EDGE = Fraction(1, 8)
 HEADER_BITS = 24  # 8-bit block size + 16-bit round count, big-endian
+ROUND_CAP_FACTOR = 64  # boosting rounds per bit of log2(m + 1)
 
 
 def _erm_index(cls: ConceptClass, entries: Sequence[tuple[int, int]]) -> int:
@@ -760,8 +748,6 @@ def _weak_blocks(entries: tuple[tuple[int, int], ...], size_cap: int):
 def boosted_scheme(
     cls: ConceptClass,
     subsample_size: Optional[int] = None,
-    *,
-    round_cap_factor: int = 64,
 ) -> CompressionScheme:
     """Majority-vote compression via multiplicative-weights boosting.
 
@@ -824,7 +810,7 @@ def boosted_scheme(
         if not entries:
             raise RealizabilityError("cannot compress an empty sample")
         m = len(entries)
-        round_cap = round_cap_factor * max(1, math.ceil(math.log2(m + 1)))
+        round_cap = ROUND_CAP_FACTOR * max(1, math.ceil(math.log2(m + 1)))
         weights = [Fraction(1, m)] * m
         blocks: list[tuple[tuple[int, int], ...]] = []
         for _ in range(round_cap):

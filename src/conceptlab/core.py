@@ -113,7 +113,7 @@ class Sample:
         entries = []
         for entry in self.entries:
             index, label = entry
-            if not isinstance(index, int) or index < 0:
+            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise ValueError(f"sample index must be a non-negative int: {entry}")
             _check_label(label)
             if label == STAR:

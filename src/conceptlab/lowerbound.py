@@ -9,7 +9,7 @@ minimum-compression oracle also uses (``compression.list_coloring``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from typing import Mapping, Optional
 
 from conceptlab.compression import (
@@ -31,7 +31,7 @@ from conceptlab.errors import BudgetError, ContractViolationError
 CHROMATIC_MAX_VERTICES = 12
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Coloring:
     """A vertex-color assignment; proper iff no edge is monochromatic."""
 
@@ -124,7 +124,7 @@ def chromatic_number(graph: Graph) -> int:
     return c
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PipelineReport:
     """Certificate for one (t, k, bit_budget, scheme) pipeline run.
 
@@ -141,27 +141,14 @@ class PipelineReport:
     chromatic_floor: int
     counting_ceiling: int
     feasible: bool
-    scheme_valid: Optional[bool]
-    disambiguation_size: Optional[int]
-    size_ge_floor: Optional[bool]
-    size_le_ceiling: Optional[bool]
-    ok: bool
+    scheme_valid: Optional[bool] = None
+    disambiguation_size: Optional[int] = None
+    size_ge_floor: Optional[bool] = None
+    size_le_ceiling: Optional[bool] = None
+    ok: bool = True
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "n_parts": self.n_parts,
-            "k": self.k,
-            "bit_budget": self.bit_budget,
-            "chromatic_floor": self.chromatic_floor,
-            "counting_ceiling": self.counting_ceiling,
-            "feasible": self.feasible,
-            "scheme_valid": self.scheme_valid,
-            "disambiguation_size": self.disambiguation_size,
-            "size_ge_floor": self.size_ge_floor,
-            "size_le_ceiling": self.size_le_ceiling,
-            "ok": self.ok,
-        }
+        return dataclasses.asdict(self)
 
 
 def pipeline_certificate(
@@ -178,67 +165,41 @@ def pipeline_certificate(
         chromatic number of K_t  <=  extracted size  <=  counting ceiling.
 
     Key spaces whose counting ceiling is below the chromatic floor are
-    reported infeasible a priori and skip verification and extraction.
+    reported infeasible a priori and skip verification and extraction.  A
+    scheme that fails verification, or breaks the contract
+    (ContractViolationError), is reported invalid; any other exception it
+    raises propagates.
     """
     partition = star_partition(t)
     partial = biclique_class(partition)
     n = partition.n_parts
     floor = chromatic_number(partition.graph)
     ceiling = counting_bound(n, 2, k, bit_budget)
-    if ceiling < floor:
-        return PipelineReport(
-            t=t,
-            n_parts=n,
-            k=k,
-            bit_budget=bit_budget,
-            chromatic_floor=floor,
-            counting_ceiling=ceiling,
-            feasible=False,
-            scheme_valid=None,
-            disambiguation_size=None,
-            size_ge_floor=None,
-            size_le_ceiling=None,
-            ok=True,
-        )
-    scheme_valid = True
-    try:
-        for m in range(1, n + 1):
-            report = verify_scheme(partial, scheme, m)
-            if report.valid is not True:
-                scheme_valid = False
-                break
-    except (ContractViolationError, ValueError):
-        scheme_valid = False
-    if not scheme_valid:
-        return PipelineReport(
-            t=t,
-            n_parts=n,
-            k=k,
-            bit_budget=bit_budget,
-            chromatic_floor=floor,
-            counting_ceiling=ceiling,
-            feasible=True,
-            scheme_valid=False,
-            disambiguation_size=None,
-            size_ge_floor=None,
-            size_le_ceiling=None,
-            ok=False,
-        )
-    extracted = extract_disambiguation(partial, scheme, k, bit_budget)
-    size = extracted.n_concepts
-    ge = size >= floor
-    le = size <= ceiling
-    return PipelineReport(
+    report = PipelineReport(
         t=t,
         n_parts=n,
         k=k,
         bit_budget=bit_budget,
         chromatic_floor=floor,
         counting_ceiling=ceiling,
-        feasible=True,
+        feasible=ceiling >= floor,
+    )
+    if not report.feasible:
+        return report
+    try:
+        scheme_valid = all(
+            verify_scheme(partial, scheme, m).valid is True for m in range(1, n + 1)
+        )
+    except ContractViolationError:
+        scheme_valid = False
+    if not scheme_valid:
+        return dataclasses.replace(report, scheme_valid=False, ok=False)
+    size = extract_disambiguation(partial, scheme, k, bit_budget).n_concepts
+    return dataclasses.replace(
+        report,
         scheme_valid=True,
         disambiguation_size=size,
-        size_ge_floor=ge,
-        size_le_ceiling=le,
-        ok=ge and le,
+        size_ge_floor=size >= floor,
+        size_le_ceiling=size <= ceiling,
+        ok=floor <= size <= ceiling,
     )

@@ -311,6 +311,110 @@ class TestReport:
         assert len(lines) == 3
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"reports": 5},
+            {"reports": [5]},
+            {"reports": [{"valid": True, "m": None, "k_of_m": 1, "samples_checked": 2}]},
+            {"reports": [{"valid": True, "m": "x", "k_of_m": 1, "samples_checked": 2}]},
+            {"reports": [{"valid": True, "m": 2, "k_of_m": -1, "samples_checked": 2}]},
+            {"reports": [{"valid": True, "m": 2, "k_of_m": 1, "samples_checked": True}]},
+            {"reports": [{"valid": "yes", "m": 2, "k_of_m": 1, "samples_checked": 2}]},
+            {"reports": [{"valid": 1, "m": 2, "k_of_m": 1, "samples_checked": 2}]},
+            {"reports": [{"m": 2, "k_of_m": 1, "samples_checked": 2}]},
+        ],
+        ids=[
+            "array-document", "int-reports", "int-report", "null-m",
+            "string-m", "negative-k", "bool-samples", "string-valid",
+            "int-valid", "missing-valid",
+        ],
+    )
+    def test_malformed_report_file_is_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("report", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
+
+class TestBudgetEvidence:
+    """Exit 3 prints what was done before the budget ran out."""
+
+    def test_verify_compression_prints_completed_and_cut_reports(
+        self, tmp_path, capsys
+    ):
+        # one concept over 60 points: 60 samples at m = 1, about 6.5e9 at
+        # m = 8, so the budget of 100 cuts the second size short
+        cls_file = tmp_path / "one.json"
+        doc = {"domain_size": 60, "kind": "total", "concepts": [[0] * 60]}
+        cls_file.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli(
+            "verify-compression", "--class", str(cls_file), "--m", "1",
+            "--m", "8", "--budget", "100",
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "budget error" in captured.err
+        reports = json.loads(captured.out)["reports"]
+        assert [(r["m"], r["valid"], r["samples_checked"]) for r in reports] == [
+            (1, True, 60),
+            (8, None, 100),
+        ]
+
+    def test_min_compression_prints_refuted_levels(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import conceptlab.cli as cli
+        from conceptlab.errors import BudgetError
+
+        def exhausted(cls, m, bits):
+            raise BudgetError(
+                "node budget 10 exhausted at k=2; refuted k-levels: [0, 1]",
+                report={"m": m, "bit_budget": bits, "k": 2, "refuted": [0, 1]},
+            )
+
+        monkeypatch.setattr(cli, "min_compression_certificate", exhausted)
+        cls_file = tmp_path / "b4.json"
+        run_cli("gen", "--family", "biclique", "--t", "4", "--out", str(cls_file))
+        code = run_cli(
+            "min-compression", "--class", str(cls_file), "--m", "3",
+            "--bits", "0",
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "refuted k-levels: [0, 1]" in captured.err
+        assert json.loads(captured.out) == {
+            "class": str(cls_file),
+            "m": 3,
+            "bit_budget": 0,
+            "k": None,
+            "certificate_valid": None,
+            "budget_exhausted_at_k": 2,
+            "refuted": [0, 1],
+        }
+
+    def test_sample_budget_without_report_prints_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import conceptlab.cli as cli
+        from conceptlab.errors import BudgetError
+
+        def too_many(cls, m, bits):
+            raise BudgetError("more than 20000 realizable samples of size 9")
+
+        monkeypatch.setattr(cli, "min_compression_certificate", too_many)
+        cls_file = tmp_path / "b4.json"
+        run_cli("gen", "--family", "biclique", "--t", "4", "--out", str(cls_file))
+        code = run_cli(
+            "min-compression", "--class", str(cls_file), "--m", "9",
+            "--bits", "0",
+        )
+        assert code == 3
+        assert capsys.readouterr().out == ""
+
 class TestProcessLevel:
     def test_module_entrypoint_runs(self):
         proc = subprocess.run(

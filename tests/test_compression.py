@@ -273,6 +273,11 @@ class TestMinCompressionSize:
         assert outcomes == {True, False}
 
 
+    def test_negative_bit_budget_rejected(self):
+        # no key has a negative number of bits, so no level could answer
+        with pytest.raises(ValueError):
+            min_compression_certificate(tclass((0, 0), (1, 1)), 2, -1)
+
 class TestTableScheme:
     def test_json_roundtrip(self):
         cls = tclass((0, 0), (1, 1))

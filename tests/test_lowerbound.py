@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from conceptlab.compression import (
+    CompressionScheme,
     counting_bound,
     min_compression_certificate,
     min_compression_size,
@@ -177,3 +178,15 @@ class TestPipelineCertificate:
         assert report.feasible
         assert report.scheme_valid is False
         assert not report.ok
+
+    def test_scheme_bug_propagates(self):
+        # only a contract violation is a verdict; any other exception from
+        # the scheme is a bug and must not be reported as scheme_valid False
+        star = star_biclique_scheme(4)
+
+        def compress(sample):
+            raise ValueError("bug")
+
+        broken = CompressionScheme("broken", compress, star.reconstruct)
+        with pytest.raises(ValueError, match="bug"):
+            pipeline_certificate(4, broken, 1, 1)
