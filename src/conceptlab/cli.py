@@ -243,13 +243,19 @@ def _extract_disambiguation(args: argparse.Namespace) -> int:
 
 
 def _pipeline(args: argparse.Namespace) -> int:
+    """Exit 3 past the chromatic cap still prints the fields known before
+    the search (``chromatic_floor`` null)."""
     t = args.t
     if args.scheme == "builtin":
         scheme = star_biclique_scheme(t)
     else:
         cls = biclique_class(star_partition(t))
         scheme = _make_scheme(args.scheme, cls, None)
-    report = pipeline_certificate(t, scheme, args.k, args.bits)
+    try:
+        report = pipeline_certificate(t, scheme, args.k, args.bits)
+    except BudgetError as exc:
+        _emit(_json_text(exc.report), args.out)
+        raise
     _emit(_json_text(report.to_json()), args.out)
     return EXIT_OK if report.ok else EXIT_CONTRACT
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from conceptlab.core import (
@@ -53,9 +52,6 @@ class CompressionKey:
     def __post_init__(self) -> None:
         if self.bits.strip("01"):
             raise ValueError(f"bits must be a 0/1 string, got {self.bits!r}")
-
-    def size(self) -> int:
-        return max(len(self.subsample), len(self.bits))
 
 
 @dataclass(frozen=True)
@@ -98,20 +94,6 @@ class SchemeReport:
         }
 
 
-def _subsample_violation(subsample: Sample, sample: Sample) -> Optional[int]:
-    """Domain index of the first subsample entry that does not occur in the
-    sample, or None when every entry does.
-
-    Containment is element-wise: a key may repeat an entry of the sample
-    (block padding does), but may not introduce entries the sample lacks.
-    """
-    have = set(sample.entries)
-    for entry in subsample.entries:
-        if entry not in have:
-            return entry[0]
-    return None
-
-
 def verify_scheme(
     cls: ConceptClass,
     scheme: CompressionScheme,
@@ -127,6 +109,9 @@ def verify_scheme(
     Raises BudgetError (carrying the partial report, valid=None) when more
     than ``sample_budget`` samples would be checked.
     """
+    compress = scheme.compress
+    reconstruct = scheme.reconstruct
+    domain_size = cls.domain_size
     failures: list[tuple[Sample, int]] = []
     k_of_m = 0
     checked = 0
@@ -144,21 +129,32 @@ def verify_scheme(
                 ),
             )
         checked += 1
-        key = scheme.compress(sample)
-        k_of_m = max(k_of_m, len(key.subsample.entries), len(key.bits))
-        bad = _subsample_violation(key.subsample, sample)
+        key = compress(sample)
+        entries = sample.entries
+        sub = key.subsample.entries
+        if len(sub) > k_of_m:
+            k_of_m = len(sub)
+        if len(key.bits) > k_of_m:
+            k_of_m = len(key.bits)
+        # element-wise containment: a key may repeat an entry of the sample
+        # (block padding does) but may not introduce one the sample lacks
+        bad = None
+        for entry in sub:
+            if entry not in entries:
+                bad = entry[0]
+                break
         if bad is not None:
             failures.append((sample, bad))
             continue
-        concept = scheme.reconstruct(key)
+        concept = reconstruct(key)
         if tuple(concept) not in total_concepts:
-            if len(concept) != cls.domain_size or any(v == STAR for v in concept):
+            if len(concept) != domain_size or any(v == STAR for v in concept):
                 raise ContractViolationError(
                     f"scheme {scheme.name!r} reconstructed an invalid concept "
                     f"{concept} for key {key}"
                 )
             total_concepts.add(tuple(concept))
-        for i, y in sample.entries:
+        for i, y in entries:
             if concept[i] != y:
                 failures.append((sample, i))
                 break
@@ -662,6 +658,11 @@ def extract_disambiguation(
     sample sizes up to the support size; the reconstruction must tolerate
     every probed key (table schemes fall back to their default).
     """
+    if k < 0 or bit_budget < 0:
+        raise ValueError(
+            f"k and bit budget must be non-negative, got k={k}, "
+            f"bit_budget={bit_budget}"
+        )
     subsamples: list[Sample] = [Sample(())]
     for size in range(1, k + 1):
         subsamples.extend(enumerate_realizable_samples(cls, size))
@@ -722,7 +723,10 @@ def to_binary_class(cls: ConceptClass) -> ConceptClass:
 
 # --- boosted majority-vote scheme ---------------------------------------------
 
-BOOST_EDGE = Fraction(1, 8)
+# AdaBoost.M1 (Freund and Schapire, JCSS 1997) with edge 1/8: a block is weak
+# when its weighted error is at most 1/2 - 1/8 = 3/8, and each round scales
+# the weights of correctly handled entries by beta = (3/8) / (5/8) = 3/5.
+WEAK_ERROR = (3, 8)  # (numerator, denominator)
 HEADER_BITS = 24  # 8-bit block size + 16-bit round count, big-endian
 ROUND_CAP_FACTOR = 64  # boosting rounds per bit of log2(m + 1)
 
@@ -760,8 +764,18 @@ def boosted_scheme(
     uniform length by repeating their first entry, plus a fixed 24-bit
     header (8-bit block size, 16-bit round count).
 
+    The weights are exact integers: every entry starts at 1, and a round
+    multiplies correct entries by 3 and wrong ones by 5, which is beta = 3/5
+    and 1 times a common factor 5.  A block is weak when
+    8 * error <= 3 * total weight.  The test and the update depend only on
+    the ratios of the weights, which normalisation never changes, so every
+    decision is that of normalised rational weights.
+
     reconstruct: split by the header, rerun the deterministic ERM per block,
     return the plurality-vote concept over the full domain.
+
+    The scheme memoizes the ERM index of every block it meets, shared by
+    compress and reconstruct for the life of the scheme object.
 
     ``subsample_size`` defaults to max(1, graph dimension of the class).
     """
@@ -774,8 +788,15 @@ def boosted_scheme(
     if not 1 <= subsample_size <= 255:
         raise ValueError("subsample_size must be in 1..255")
 
-    beta = (Fraction(1, 2) - BOOST_EDGE) / (Fraction(1, 2) + BOOST_EDGE)
-    threshold = Fraction(1, 2) - BOOST_EDGE
+    weak_num, weak_den = WEAK_ERROR
+    beta_num, beta_den = weak_num, weak_den - weak_num
+    erm_of: dict[tuple[tuple[int, int], ...], int] = {}
+
+    def erm(block: tuple[tuple[int, int], ...]) -> int:
+        idx = erm_of.get(block)
+        if idx is None:
+            idx = erm_of[block] = _erm_index(cls, block)
+        return idx
 
     def vote(erm_indices: Sequence[int]) -> tuple[int, ...]:
         out = []
@@ -795,7 +816,7 @@ def boosted_scheme(
         erms = []
         for r in range(rounds):
             block = entries[r * subsample_size : (r + 1) * subsample_size]
-            erms.append(_erm_index(cls, block))
+            erms.append(erm(block))
         return vote(erms)
 
     def _make_key(blocks: Sequence[tuple[tuple[int, int], ...]]) -> CompressionKey:
@@ -803,7 +824,8 @@ def boosted_scheme(
         for blk in blocks:
             padded.extend(blk + (blk[0],) * (subsample_size - len(blk)))
         bits = format(subsample_size, "08b") + format(len(blocks), "016b")
-        return CompressionKey(Sample(tuple(padded)), bits)
+        # the entries come from an already validated sample
+        return CompressionKey(Sample._canonical(tuple(sorted(padded))), bits)
 
     def compress(sample: Sample) -> CompressionKey:
         entries = sample.entries
@@ -811,17 +833,18 @@ def boosted_scheme(
             raise RealizabilityError("cannot compress an empty sample")
         m = len(entries)
         round_cap = ROUND_CAP_FACTOR * max(1, math.ceil(math.log2(m + 1)))
-        weights = [Fraction(1, m)] * m
+        weights = [1] * m
         blocks: list[tuple[tuple[int, int], ...]] = []
         for _ in range(round_cap):
+            total = sum(weights)
             chosen = None
             for block in _weak_blocks(entries, subsample_size):
-                idx = _erm_index(cls, block)
+                idx = erm(block)
                 concept = cls.concepts[idx]
                 error = sum(
                     w for w, (i, y) in zip(weights, entries) if concept[i] != y
                 )
-                if error <= threshold:
+                if error * weak_den <= weak_num * total:
                     chosen = (block, idx)
                     break
             if chosen is None:
@@ -837,11 +860,9 @@ def boosted_scheme(
                 return key
             concept = cls.concepts[idx]
             weights = [
-                w * beta if concept[i] == y else w
+                w * beta_num if concept[i] == y else w * beta_den
                 for w, (i, y) in zip(weights, entries)
             ]
-            total = sum(weights)
-            weights = [w / total for w in weights]
         raise ConvergenceError(
             f"plurality vote not correct after {round_cap} rounds"
         )
@@ -876,6 +897,10 @@ def star_biclique_scheme(t: int) -> CompressionScheme:
     reconstruct totalizes the pinned vertex concept (filler label 2 on
     undefined parts) or returns the all-ones concept.  Valid at every
     sample size with max(|subsample|, |bits|) = 1.
+
+    Each one-entry key is built once, on first use, and returned again for
+    every later sample that keeps the same entry (at most 2 * (t - 1) keys
+    on the class's samples).
     """
     if t < 2:
         raise ValueError("star partition needs t >= 2")
@@ -885,15 +910,23 @@ def star_biclique_scheme(t: int) -> CompressionScheme:
         for v in range(n)
     ]
     all_ones = (1,) * n
+    keys: dict[tuple[int, int], CompressionKey] = {}
+
+    def key_of(entry: tuple[int, int]) -> CompressionKey:
+        key = keys.get(entry)
+        if key is None:
+            key = keys[entry] = CompressionKey(Sample._canonical((entry,)), "")
+        return key
 
     def compress(sample: Sample) -> CompressionKey:
-        if not sample.entries:
+        entries = sample.entries
+        if not entries:
             raise RealizabilityError("cannot compress an empty sample")
-        for entry in sample.entries:
+        for entry in entries:
             if entry[1] == 0:
-                return CompressionKey(Sample._canonical((entry,)), "")
+                return key_of(entry)
         # entries are sorted, so the last one has the highest index
-        return CompressionKey(Sample._canonical(sample.entries[-1:]), "")
+        return key_of(entries[-1])
 
     def reconstruct(key: CompressionKey) -> tuple[int, ...]:
         entries = key.subsample.entries

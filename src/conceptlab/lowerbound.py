@@ -169,12 +169,29 @@ def pipeline_certificate(
     scheme that fails verification, or breaks the contract
     (ContractViolationError), is reported invalid; any other exception it
     raises propagates.
+
+    Past ``CHROMATIC_MAX_VERTICES`` the chromatic search raises BudgetError;
+    its ``report`` holds the fields known before the search, with
+    ``chromatic_floor`` None.
     """
     partition = star_partition(t)
     partial = biclique_class(partition)
     n = partition.n_parts
-    floor = chromatic_number(partition.graph)
     ceiling = counting_bound(n, 2, k, bit_budget)
+    try:
+        floor = chromatic_number(partition.graph)
+    except BudgetError as exc:
+        raise BudgetError(
+            str(exc),
+            report={
+                "t": t,
+                "n_parts": n,
+                "k": k,
+                "bit_budget": bit_budget,
+                "chromatic_floor": None,
+                "counting_ceiling": ceiling,
+            },
+        ) from None
     report = PipelineReport(
         t=t,
         n_parts=n,

@@ -7,6 +7,8 @@ definitions, and deliberately shares no code with the package internals.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 STAR = -1
 
@@ -252,4 +254,78 @@ def min_compression_bruteforce(concepts, m, k, bits):
     for size in range(k + 1):
         if feasible(size):
             return size
+    return None
+
+
+def boosted_compress_reference(concepts, entries, subsample_size):
+    """The boosted scheme's key for a sample, straight from its definition:
+    AdaBoost.M1 with edge 1/8 over ``Fraction`` weights normalised every
+    round, the ERM (first concept consistent with a block) recomputed at
+    every use, and candidate blocks of 1..``subsample_size`` entries taken in
+    increasing size, then lexicographic order, each distinct block once.
+
+    A round adds the first block whose ERM has weighted error at most 3/8
+    and stops when the plurality vote (ties to the lowest label) of the ERMs
+    of the key's blocks is right on every entry.  The key's blocks are read
+    as the reconstructor reads them: the padded blocks, sorted together,
+    cut into runs of ``subsample_size``.
+
+    Returns ``(key entries, bits)``, the bits being the 8-bit block size and
+    the 16-bit round count; None when the vote is still wrong after
+    64 * max(1, ceil(log2(m + 1))) rounds.
+    """
+    entries = tuple(sorted(entries))
+    m = len(entries)
+    n = len(concepts[0])
+    s = subsample_size
+
+    def erm(block):
+        for idx, concept in enumerate(concepts):
+            if all(concept[i] == y for i, y in block):
+                return idx
+        raise ValueError(f"no concept is consistent with {block}")
+
+    def vote(key_entries, rounds):
+        erms = [erm(key_entries[r * s : (r + 1) * s]) for r in range(rounds)]
+        out = []
+        for x in range(n):
+            counts = {}
+            for idx in erms:
+                label = concepts[idx][x]
+                counts[label] = counts.get(label, 0) + 1
+            out.append(max(sorted(counts), key=lambda y: counts[y]))
+        return out
+
+    candidates = []
+    for size in range(1, s + 1):
+        for combo in itertools.combinations(entries, size):
+            if combo not in candidates:
+                candidates.append(combo)
+    threshold = Fraction(1, 2) - Fraction(1, 8)
+    beta = threshold / (Fraction(1, 2) + Fraction(1, 8))
+    weights = [Fraction(1, m)] * m
+    chosen = []
+    for _ in range(64 * max(1, math.ceil(math.log2(m + 1)))):
+        for block in candidates:
+            concept = concepts[erm(block)]
+            error = sum(
+                w for w, (i, y) in zip(weights, entries) if concept[i] != y
+            )
+            if error <= threshold:
+                break
+        else:
+            raise ValueError("no weak block")
+        chosen.append(block)
+        key_entries = tuple(
+            sorted(e for blk in chosen for e in blk + (blk[0],) * (s - len(blk)))
+        )
+        voted = vote(key_entries, len(chosen))
+        if all(voted[i] == y for i, y in entries):
+            return key_entries, format(s, "08b") + format(len(chosen), "016b")
+        weights = [
+            w * beta if concept[i] == y else w
+            for w, (i, y) in zip(weights, entries)
+        ]
+        total = sum(weights)
+        weights = [w / total for w in weights]
     return None

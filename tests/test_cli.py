@@ -235,6 +235,19 @@ class TestCompressionCommands:
         extracted = loads_class(out_file.read_text(encoding="utf-8"))
         assert extracted.kind.value == "total"
 
+    @pytest.mark.parametrize("k, bits", [("1", "-1"), ("-1", "1")])
+    def test_negative_key_space_is_usage_error(self, tmp_path, capsys, k, bits):
+        cls_file = tmp_path / "b3.json"
+        run_cli("gen", "--family", "biclique", "--t", "3", "--out", str(cls_file))
+        code = run_cli(
+            "extract-disambiguation", "--class", str(cls_file), "--k", k,
+            "--bits", bits,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err
+        assert captured.out == ""
+
     def test_invalid_scheme_exits_one(self, tmp_path, capsys):
         # the two-constant class cannot be served by a 0-entry scheme, and
         # the star scheme mislabels it
@@ -270,6 +283,16 @@ class TestPipelineCommand:
 
     def test_budget_exit_code(self, capsys):
         assert run_cli("pipeline", "--t", "30", "--k", "1", "--bits", "1") == 3
+        captured = capsys.readouterr()
+        assert "budget error" in captured.err
+        assert json.loads(captured.out) == {
+            "t": 30,
+            "n_parts": 29,
+            "k": 1,
+            "bit_budget": 1,
+            "chromatic_floor": None,
+            "counting_ceiling": 177,
+        }
 
 
 class TestReport:

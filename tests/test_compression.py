@@ -1,6 +1,7 @@
 """Scheme contract, exhaustive verifier, exact minimum-size oracle, the
 counting bound, extraction, the binary reduction, and the boosted scheme."""
 
+import collections
 import random
 
 import pytest
@@ -36,7 +37,11 @@ from conceptlab.constructions import (
     unique_label_disambiguation,
 )
 from conceptlab.dimensions import ShatterKind, dimension
-from conceptlab.errors import BudgetError, ContractViolationError
+from conceptlab.errors import (
+    BudgetError,
+    ContractViolationError,
+    ConvergenceError,
+)
 from conceptlab.random_classes import random_partial_class
 
 
@@ -134,6 +139,64 @@ class TestVerifyScheme:
         )
         with pytest.raises(ContractViolationError):
             verify_scheme(cls, scheme, 2)
+
+    def test_key_may_repeat_an_entry_of_the_sample(self):
+        cls = tclass((0, 0), (1, 1))
+        scheme = CompressionScheme(
+            "repeat",
+            lambda s: CompressionKey(Sample((s.entries[0],) * 3), ""),
+            lambda k: (k.subsample.entries[0][1],) * 2,
+        )
+        report = verify_scheme(cls, scheme, 1)
+        assert report.valid and report.k_of_m == 3
+
+    def test_rogue_key_entry_is_reported_at_its_own_index(self):
+        # every key adds (2, 1); every sample without it fails at index 2,
+        # even where the sample's own entry sits at another index
+        cls = tclass((0, 0, 0), (1, 1, 1))
+        scheme = CompressionScheme(
+            "rogue",
+            lambda s: CompressionKey(Sample(s.entries + ((2, 1),)), ""),
+            lambda k: (1, 1, 1),
+        )
+        report = verify_scheme(cls, scheme, 1)
+        assert report.valid is False
+        assert [(s.entries, i) for s, i in report.failures] == [
+            (((0, 0),), 2),
+            (((0, 1),), 2),
+            (((1, 0),), 2),
+            (((1, 1),), 2),
+            (((2, 0),), 2),
+        ]
+
+    def test_reconstruction_returned_as_a_list_is_still_checked(self):
+        cls = tclass((0, 0), (1, 1))
+        listed = CompressionScheme(
+            "listed", lambda s: CompressionKey(Sample(()), ""), lambda k: [0, 0]
+        )
+        report = verify_scheme(cls, listed, 2)
+        assert report.valid is False
+        assert ((0, 1), (1, 1)) in {s.entries for s, _ in report.failures}
+        undefined = CompressionScheme(
+            "undefined", lambda s: CompressionKey(Sample(()), ""), lambda k: [0, STAR]
+        )
+        with pytest.raises(ContractViolationError):
+            verify_scheme(cls, undefined, 1)
+
+    def test_boosted_erm_runs_once_per_distinct_block(self, monkeypatch):
+        import conceptlab.compression as compression
+
+        calls = collections.Counter()
+        erm_index = compression._erm_index
+
+        def counting(cls, block):
+            calls[tuple(block)] += 1
+            return erm_index(cls, block)
+
+        monkeypatch.setattr(compression, "_erm_index", counting)
+        cls = haussler_long_class(4, 2, 1)
+        assert verify_scheme(cls, boosted_scheme(cls), 4).valid
+        assert calls and max(calls.values()) == 1
 
 
 class TestCountingBound:
@@ -462,6 +525,36 @@ class TestBoostedScheme:
     def test_total_class_required(self):
         with pytest.raises(ValueError):
             boosted_scheme(biclique_class(star_partition(3)))
+
+    @pytest.mark.parametrize(
+        "cls, max_m, subsample_size, converges",
+        [
+            (haussler_long_class(4, 2, 1), 5, None, True),
+            (graph_dim_blowup_example()[1], 4, None, True),
+            (haussler_long_class(4, 3, 2), 3, None, False),
+            (graph_dim_blowup_example()[1], 3, 1, True),
+        ],
+        ids=["hl-4-2-1", "worked-total", "hl-4-3-2", "worked-total-s1"],
+    )
+    def test_keys_match_the_fraction_weight_reference(
+        self, cls, max_m, subsample_size, converges
+    ):
+        scheme = boosted_scheme(cls, subsample_size)
+        s = subsample_size or max(1, dimension(cls, ShatterKind.GRAPH).value)
+        stuck = 0
+        for m in range(1, max_m + 1):
+            for sample in enumerate_realizable_samples(cls, m):
+                expect = oracles.boosted_compress_reference(
+                    cls.concepts, sample.entries, s
+                )
+                if expect is None:
+                    stuck += 1
+                    with pytest.raises(ConvergenceError):
+                        scheme.compress(sample)
+                    continue
+                key = scheme.compress(sample)
+                assert (key.subsample.entries, key.bits) == expect
+        assert (stuck == 0) == converges
 
 
 class TestMonotonicityUnderDisambiguation:
