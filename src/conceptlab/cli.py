@@ -129,10 +129,16 @@ def _gen(args: argparse.Namespace) -> int:
 
 
 def _dim(args: argparse.Namespace) -> int:
+    """Exit 3 from the subset budget still prints the completed lower bound
+    and its witness (``dimension`` null)."""
     cls = _load_class(args.class_file)
     kind = ShatterKind(args.kind)
     target = dual(cls) if args.dual else cls
-    result = dimension(target, kind)
+    cut = None
+    try:
+        result = dimension(target, kind)
+    except BudgetError as exc:
+        result, cut = exc.report["lower_bound"], exc
     verified = (
         result.witness.verify(target) if result.witness is not None else None
     )
@@ -140,11 +146,17 @@ def _dim(args: argparse.Namespace) -> int:
         "class": args.class_file,
         "kind": kind.value,
         "dual": bool(args.dual),
-        "dimension": result.value,
+        "dimension": result.value if cut is None else None,
         "witness": result.witness.to_json() if result.witness else None,
         "witness_verified": verified,
     }
+    if cut is not None:
+        payload.update(
+            lower_bound=result.value, budget_exhausted_at_d=cut.report["level"]
+        )
     _emit(_json_text(payload), args.out)
+    if cut is not None:
+        raise cut
     if verified is False:
         return EXIT_CONTRACT
     return EXIT_OK

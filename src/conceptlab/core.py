@@ -15,6 +15,7 @@ for concurrent use on shared values.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -74,6 +75,22 @@ class ConceptClass:
     def n_concepts(self) -> int:
         return len(self.concepts)
 
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The table by domain point: ``columns[i][c]`` is concept c's
+        label at point i.  Computed on first use and kept on the instance;
+        not a field, so equality, hashing and the wire format ignore it."""
+        if not self.concepts:
+            return ((),) * self.domain_size
+        return tuple(zip(*self.concepts))
+
+    def project(self, indices: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """Each concept's labels on the index sequence, in concept order,
+        read from ``columns``.  The indices are not checked."""
+        if not indices:
+            return iter(((),) * len(self.concepts))
+        return zip(*map(self.columns.__getitem__, indices))
+
     def labels_used(self) -> tuple[int, ...]:
         """Distinct defined labels appearing anywhere in the table, sorted."""
         out = {v for concept in self.concepts for v in concept if v != STAR}
@@ -90,6 +107,8 @@ class ConceptClass:
         return tuple(sorted(out))
 
     def check_index(self, index: int) -> None:
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ValueError(f"domain index must be an int, got {index!r}")
         if not 0 <= index < self.domain_size:
             raise ValueError(
                 f"domain index {index} out of range for domain of size "
@@ -167,10 +186,11 @@ def restrict(cls: ConceptClass, indices: Sequence[int]) -> PatternSet:
     Indices may repeat (the column repeats with them); STAR entries are
     preserved.
     """
+    indices = tuple(indices)
     for i in indices:
         cls.check_index(i)
-    patterns = {tuple(concept[i] for i in indices) for concept in cls.concepts}
-    return PatternSet(width=len(tuple(indices)), patterns=frozenset(patterns))
+    patterns = frozenset(cls.project(indices))
+    return PatternSet(width=len(indices), patterns=patterns)
 
 
 def is_realizable(cls: ConceptClass, sample: Sample) -> bool:
@@ -244,17 +264,11 @@ def dual(cls: ConceptClass) -> ConceptClass:
     """
     if cls.n_concepts == 0:
         raise ValueError("cannot dualize an empty class")
-    columns = []
-    seen = set()
-    for j in range(cls.domain_size):
-        col = tuple(concept[j] for concept in cls.concepts)
-        if col not in seen:
-            seen.add(col)
-            columns.append(col)
-    has_star = any(v == STAR for col in columns for v in col)
+    columns = tuple(dict.fromkeys(cls.columns))
+    has_star = any(STAR in col for col in columns)
     return ConceptClass(
         domain_size=cls.n_concepts,
-        concepts=tuple(columns),
+        concepts=columns,
         kind=ClassKind.PARTIAL if has_star else ClassKind.TOTAL,
     )
 

@@ -28,10 +28,22 @@ search less and reach the same witness:
   repeated row can only repeat a pair or an anchor tried before;
 * Natarajan tries unordered pairs i < j, since (f1, f2) is a witness exactly
   when (f2, f1) is one, so the first ordered witness has i < j.
+
+Both run on int bitsets over the distinct rows, with one bit per row and
+``by[i][y]`` the rows carrying label y at coordinate i.  Natarajan accepts a
+pair when ``AND_i (by[i][f1[i]] | by[i][f2[i]])`` holds 2^|S| rows: f1 and f2
+differ at every coordinate, so each such row is the mixture of exactly one
+mask.  Graph builds the rows agreeing with the anchor exactly on each mask as
+ANDs of ``by[i][anchor[i]]`` and its complement.  Every restriction is
+read by ``ConceptClass.project`` from columns the class computes once.
+
+``dimension`` tries at most ``SUBSET_BUDGET`` subsets, then raises
+BudgetError with the lower bound completed so far and its witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -77,7 +89,11 @@ class ShatterWitness:
     realizers: tuple[tuple[int, ...], ...] = ()
 
     def verify(self, cls: ConceptClass) -> bool:
-        """Replay the witness against the class by direct definition."""
+        """Replay the witness against the class by direct definition.
+
+        This is the independent check of every search above, so it stays
+        definition-literal: it projects each concept itself rather than
+        reading ``cls.columns`` or any bitset the searches use."""
         d = len(self.indices)
         if d == 0:
             return False
@@ -177,8 +193,7 @@ def _checked_indices(cls: ConceptClass, indices: Sequence[int]) -> tuple[int, ..
 def _full_support_patterns(
     cls: ConceptClass, indices: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    pats = {tuple(concept[i] for i in indices) for concept in cls.concepts}
-    return sorted(p for p in pats if STAR not in p)
+    return sorted(p for p in set(cls.project(indices)) if STAR not in p)
 
 
 def _ds_witness(
@@ -271,9 +286,19 @@ def _distinct_rows(
     cls: ConceptClass, indices: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """Distinct restrictions to the indices, in first-occurrence order."""
-    return list(
-        dict.fromkeys(tuple(concept[i] for i in indices) for concept in cls.concepts)
-    )
+    return list(dict.fromkeys(cls.project(indices)))
+
+
+def _label_bits(rows: Sequence[tuple[int, ...]]) -> list[dict[int, int]]:
+    """``by[i][label]``: the int bitset of the rows carrying label at
+    coordinate i (bit r for ``rows[r]``)."""
+    by = []
+    for column in zip(*rows):
+        bits: dict[int, int] = {}
+        for r, label in enumerate(column):
+            bits[label] = bits.get(label, 0) | (1 << r)
+        by.append(bits)
+    return by
 
 
 def n_shatters(
@@ -283,7 +308,7 @@ def n_shatters(
 
     Returns the witness that the definition-literal search finds first when
     it tries ordered pairs of concepts in ``itertools.permutations`` order.
-    The search here tries unordered pairs i < j of the distinct
+    The search here tries unordered pairs a < b of the distinct
     restrictions in first-occurrence order, and reaches the same pair:
 
     * symmetry: (f1, f2) is a witness exactly when (f2, f1) is one, since
@@ -294,30 +319,46 @@ def n_shatters(
       first occurrences;
     * 2^d count: a witness's 2^d mixtures are distinct realized
       restrictions, so with fewer than 2^d distinct rows there is none.
+
+    Each test is on int bitsets over the distinct rows, with ``by[i][y]``
+    the rows carrying label y at coordinate i.  For row a, the rows b > a
+    that disagree with f1 = rows[a] everywhere are those outside
+    ``OR_i by[i][f1[i]]``; they are tried in ascending order.  The pair
+    (f1, f2) is a witness exactly when ``AND_i (by[i][f1[i]] | by[i][f2[i]])``
+    has 2^d bits: f1 and f2 differ at every coordinate, so a row inside
+    {f1[i], f2[i]} at every i is the mixture of exactly one mask, and the
+    rows are distinct, so 2^d such rows realize every mask.  The mixtures
+    are built only for the witness.
     """
     _require_total(cls, "Natarajan shattering")
     indices = _checked_indices(cls, indices)
     d = len(indices)
     rows = _distinct_rows(cls, indices)
-    if len(rows) < 1 << d:
+    size = 1 << d
+    if len(rows) < size:
         return None
-    realized = set(rows)
-    for a, f1 in enumerate(rows):
-        for f2 in rows[a + 1 :]:
-            if not all(map(operator.ne, f1, f2)):
-                continue
-            mixtures = []
-            for mask in range(1 << d):
-                mix = tuple(f1[i] if (mask >> i) & 1 else f2[i] for i in range(d))
-                if mix not in realized:
-                    break
-                mixtures.append(mix)
-            else:
+    by = _label_bits(rows)
+    # own[r][i]: the rows sharing row r's label at coordinate i
+    own = [tuple(map(dict.__getitem__, by, row)) for row in rows]
+    full = (1 << len(rows)) - 1
+    for a, bits_a in enumerate(own):
+        candidates = full & ~((2 << a) - 1) & ~functools.reduce(operator.or_, bits_a)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            b = low.bit_length() - 1
+            cover = functools.reduce(operator.and_, map(operator.or_, bits_a, own[b]))
+            if cover.bit_count() == size:
+                f1, f2 = rows[a], rows[b]
+                mixtures = tuple(
+                    tuple(f1[i] if (mask >> i) & 1 else f2[i] for i in range(d))
+                    for mask in range(size)
+                )
                 return ShatterWitness(
                     kind=ShatterKind.NATARAJAN,
                     indices=indices,
                     pair=(f1, f2),
-                    realizers=tuple(mixtures),
+                    realizers=mixtures,
                 )
     return None
 
@@ -338,6 +379,14 @@ def g_shatters(
     * 2^d count: a witness's 2^d realizers have distinct agreement masks,
       hence are distinct rows, so with fewer than 2^d distinct rows there is
       none.
+
+    Each test is on int bitsets over the sorted distinct rows.  With
+    ``same[i]`` the rows agreeing with the anchor at coordinate i, the rows
+    agreeing with it exactly on mask are the AND over i of ``same[i]`` (bit
+    i of mask set) or its complement within the rows (bit i clear).  These
+    sets are built one coordinate at a time, and the anchor fails as soon
+    as one is empty, since every mask extending it is empty too.  The
+    realizer of a mask is the lowest set bit, the least sorted row.
     """
     _require_total(cls, "graph shattering")
     indices = _checked_indices(cls, indices)
@@ -346,21 +395,26 @@ def g_shatters(
     if len(rows) < 1 << d:
         return None
     sorted_rows = sorted(rows)
+    by = _label_bits(sorted_rows)
+    full = (1 << len(rows)) - 1
     for anchor in rows:
-        by_mask: dict[int, tuple[int, ...]] = {}
-        for pattern in sorted_rows:
-            mask = 0
-            for i in range(d):
-                if pattern[i] == anchor[i]:
-                    mask |= 1 << i
-            if mask not in by_mask:
-                by_mask[mask] = pattern
-        if len(by_mask) == 1 << d:
+        # hits[mask] over the coordinates taken so far: coordinate i joins
+        # as bit i, the high bit, so the list stays indexed by mask
+        hits = [full]
+        for same, label in zip(by, anchor):
+            agree = same[label]
+            differ = full & ~agree
+            hits = [h & differ for h in hits] + [h & agree for h in hits]
+            if 0 in hits:
+                break
+        else:
             return ShatterWitness(
                 kind=ShatterKind.GRAPH,
                 indices=indices,
                 anchor=anchor,
-                realizers=tuple(by_mask[mask] for mask in range(1 << d)),
+                realizers=tuple(
+                    sorted_rows[(h & -h).bit_length() - 1] for h in hits
+                ),
             )
     return None
 
@@ -373,6 +427,10 @@ _CHECKERS = {
 }
 
 
+SUBSET_BUDGET = 1_000_000
+"""Most index subsets ``dimension`` tries in one search."""
+
+
 def dimension(
     cls: ConceptClass, kind: ShatterKind, *, exhaustive: bool = False
 ) -> DimensionResult:
@@ -383,15 +441,27 @@ def dimension(
     stops at the first empty level, which is sound because shattering is
     subset-monotone; ``exhaustive=True`` forces scanning every level (used
     to validate the early exit).
+
+    Raises BudgetError before trying subset number ``SUBSET_BUDGET + 1``.
+    Its ``report`` holds ``kind``, ``lower_bound`` (the best completed
+    result, a DimensionResult) and ``level`` (the d being scanned).
     """
     kind = ShatterKind(kind)
     if cls.n_concepts == 0:
         return DimensionResult(value=-1, witness=None)
     check = _CHECKERS[kind]
     best = DimensionResult(value=0, witness=None)
+    tried = 0
     for d in range(1, cls.domain_size + 1):
         found = None
         for combo in itertools.combinations(range(cls.domain_size), d):
+            if tried == SUBSET_BUDGET:
+                raise BudgetError(
+                    f"subset budget {SUBSET_BUDGET} exhausted at d={d}; "
+                    f"{kind.value} dimension is at least {best.value}",
+                    report={"kind": kind, "lower_bound": best, "level": d},
+                )
+            tried += 1
             witness = check(cls, combo)
             if witness is not None:
                 found = witness

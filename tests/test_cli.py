@@ -419,6 +419,42 @@ class TestBudgetEvidence:
             "refuted": [0, 1],
         }
 
+    def test_dim_prints_lower_bound_and_its_witness(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import conceptlab.dimensions as dimensions
+        from conceptlab.core import dual
+        from conceptlab.dimensions import ShatterKind, ShatterWitness
+
+        # the dual of disjoint-pairs-3 DS-shatters (0,), (0, 1) and (0, 1, 2):
+        # a budget of two subsets completes d = 2 and cuts d = 3
+        monkeypatch.setattr(dimensions, "SUBSET_BUDGET", 2)
+        cls_file = tmp_path / "pairs.json"
+        run_cli(
+            "gen", "--family", "disjoint-pairs", "--rows", "3", "--out",
+            str(cls_file),
+        )
+        code = run_cli("dim", "--class", str(cls_file), "--kind", "ds", "--dual")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "budget error" in captured.err
+        data = json.loads(captured.out)
+        assert (data["dimension"], data["lower_bound"]) == (None, 2)
+        assert data["budget_exhausted_at_d"] == 3
+        assert data["witness_verified"] is True
+        raw = data["witness"]
+        witness = ShatterWitness(
+            kind=ShatterKind(raw["kind"]),
+            indices=tuple(raw["indices"]),
+            patterns=tuple(map(tuple, raw["patterns"])),
+            neighbors=tuple(
+                tuple(map(tuple, per_pattern)) for per_pattern in raw["neighbors"]
+            ),
+        )
+        assert witness.indices == (0, 1)
+        target = dual(loads_class(cls_file.read_text(encoding="utf-8")))
+        assert witness.verify(target)
+
     def test_sample_budget_without_report_prints_nothing(
         self, tmp_path, capsys, monkeypatch
     ):

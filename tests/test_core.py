@@ -81,6 +81,31 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(pclass((0,)), (1,))
 
+    def test_empty_index_sequence(self):
+        assert restrict(pclass((0, STAR), (1, 0)), ()).patterns == {()}
+        assert restrict(ConceptClass(2, (), ClassKind.TOTAL), ()).patterns == set()
+
+
+class TestColumns:
+    def test_columns_transpose_the_table(self):
+        cls = pclass((0, STAR), (1, 0), (1, 1))
+        assert cls.columns == ((0, 1, 1), (STAR, 0, 1))
+
+    def test_no_concepts(self):
+        assert ConceptClass(3, (), ClassKind.TOTAL).columns == ((), (), ())
+
+    def test_no_points(self):
+        assert ConceptClass(0, ((),), ClassKind.TOTAL).columns == ()
+
+    def test_not_part_of_identity(self):
+        cls = pclass((1, STAR), (0, 2))
+        twin = pclass((1, STAR), (0, 2))
+        before = (hash(cls), repr(cls), dumps_class(cls))
+        assert cls.columns == ((1, 0), (STAR, 2))
+        assert cls == twin
+        assert (hash(cls), repr(cls), dumps_class(cls)) == before
+        assert hash(twin) == before[0]
+
 
 class TestRealizability:
     def test_agreeing_concept(self):

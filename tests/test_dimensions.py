@@ -119,6 +119,13 @@ class TestNatarajan:
         with pytest.raises(ValueError):
             n_shatters(pclass((0, STAR)), (0,))
 
+    def test_bool_and_non_int_indices_rejected(self):
+        cls = haussler_long_class(2, 3, 1)
+        for check in (n_shatters, g_shatters, ds_shatters, vc_shatters):
+            for bad in ((True,), (0, False), (0.0,), ("1",)):
+                with pytest.raises(ValueError):
+                    check(cls, bad)
+
     def test_matches_oracle_on_random_classes(self):
         rng = random.Random(13)
         for _ in range(100):
@@ -201,6 +208,40 @@ class TestFirstWitness:
             found += 1
             assert (got.pair, got.realizers) == want, (cls, combo)
         assert found > 100
+
+    def test_rows_past_one_machine_word(self):
+        # 65-130 distinct concepts over 3 labels: on 4 points up to 81
+        # distinct rows, so the row bitsets of the checkers pass 64 bits
+        rng = random.Random(71)
+        classes = []
+        for n, size in ((6, 130), (7, 65), (7, 100), (7, 130)):
+            concepts = list(random_total_class(rng, n, size, 3).concepts)
+            rng.shuffle(concepts)
+            classes.append(ConceptClass(n, tuple(concepts), ClassKind.TOTAL))
+        # the diagonal of 72 labels, then the two mixtures of its last two
+        # rows: the only Natarajan pair is rows 70 and 71
+        classes.append(tclass(*[(i, i) for i in range(72)], (70, 71), (71, 70)))
+        cases = n_found = wide = n_wide = g_wide = 0
+        for cls in classes:
+            n = cls.domain_size
+            for r in (1, 2, 3, 4)[:n]:
+                for combo in itertools.combinations(range(n), r):
+                    want_n = oracles.n_first_witness(cls.concepts, combo)
+                    got_n = n_shatters(cls, combo)
+                    got_n = got_n and (got_n.pair, got_n.realizers)
+                    assert got_n == want_n, (cls, combo)
+                    want_g = oracles.g_first_witness(cls.concepts, combo)
+                    got_g = g_shatters(cls, combo)
+                    got_g = got_g and (got_g.anchor, got_g.realizers)
+                    assert got_g == want_g, (cls, combo)
+                    cases += 1
+                    n_found += want_n is not None
+                    if len(oracles.patterns_on(cls.concepts, combo)) > 64:
+                        wide += 1
+                        n_wide += want_n is not None
+                        g_wide += want_g is not None
+        assert wide > 20 and n_wide > 20 and g_wide > 20
+        assert 100 < n_found < cases
 
     def test_graph_matches_first_stored_anchor(self):
         found = 0
