@@ -10,7 +10,6 @@ from conceptlab.core import (
     STAR,
     ClassKind,
     ConceptClass,
-    PatternSet,
     Sample,
     dual,
     dumps_class,

@@ -41,6 +41,7 @@ from conceptlab.core import (
     ConceptClass,
     dual,
     dumps_class,
+    is_nonnegative_int,
     loads_class,
     union_disjoint,
 )
@@ -279,8 +280,7 @@ def _report_from_json(raw: object) -> SchemeReport:
     if not isinstance(raw, dict):
         raise ValueError(f"report must be an object, got {raw!r}")
     for name in ("m", "k_of_m", "samples_checked"):
-        value = raw.get(name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not is_nonnegative_int(raw.get(name)):
             raise ValueError(f"report {name!r} must be a non-negative integer")
     if "valid" not in raw or not (
         raw["valid"] is None or isinstance(raw["valid"], bool)

@@ -30,6 +30,7 @@ from conceptlab.core import (
     ConceptClass,
     Sample,
     enumerate_realizable_samples,
+    is_nonnegative_int,
     sample_from_json,
     sample_to_json,
 )
@@ -94,6 +95,21 @@ class SchemeReport:
         }
 
 
+def _check_reconstruction(
+    scheme: CompressionScheme,
+    key: CompressionKey,
+    concept: Sequence[int],
+    domain_size: int,
+) -> None:
+    """ContractViolationError unless the concept is total over the domain:
+    one non-negative int label per point."""
+    if len(concept) != domain_size or not all(map(is_nonnegative_int, concept)):
+        raise ContractViolationError(
+            f"scheme {scheme.name!r} reconstructed an invalid concept "
+            f"{concept} for key {key}"
+        )
+
+
 def verify_scheme(
     cls: ConceptClass,
     scheme: CompressionScheme,
@@ -148,11 +164,7 @@ def verify_scheme(
             continue
         concept = reconstruct(key)
         if tuple(concept) not in total_concepts:
-            if len(concept) != domain_size or any(v == STAR for v in concept):
-                raise ContractViolationError(
-                    f"scheme {scheme.name!r} reconstructed an invalid concept "
-                    f"{concept} for key {key}"
-                )
+            _check_reconstruction(scheme, key, concept, domain_size)
             total_concepts.add(tuple(concept))
         for i, y in entries:
             if concept[i] != y:
@@ -242,11 +254,7 @@ class TableScheme:
         if not isinstance(data, dict) or data.get("kind") != "table":
             raise ValueError("not a table-scheme document")
         domain_size = data.get("domain_size")
-        if (
-            not isinstance(domain_size, int)
-            or isinstance(domain_size, bool)
-            or domain_size < 0
-        ):
+        if not is_nonnegative_int(domain_size):
             raise ValueError(
                 f"domain_size must be a non-negative integer, got {domain_size!r}"
             )
@@ -291,9 +299,7 @@ def _concept_from_json(raw: object, domain_size: int) -> tuple[int, ...]:
     if (
         not isinstance(raw, list)
         or len(raw) != domain_size
-        or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw
-        )
+        or not all(map(is_nonnegative_int, raw))
     ):
         raise ValueError(
             f"concept must be an array of {domain_size} non-negative integer "
@@ -670,27 +676,24 @@ def extract_disambiguation(
     seen = set()
     for subsample in subsamples:
         for bits in _bitstrings(bit_budget):
-            concept = scheme.reconstruct(CompressionKey(subsample, bits))
-            if len(concept) != cls.domain_size or any(v == STAR for v in concept):
-                raise ContractViolationError(
-                    f"reconstruction returned an invalid concept {concept}"
-                )
+            key = CompressionKey(subsample, bits)
+            concept = scheme.reconstruct(key)
             if concept not in seen:
+                _check_reconstruction(scheme, key, concept, cls.domain_size)
                 seen.add(concept)
                 concepts.append(tuple(concept))
-    for source in cls.concepts:
-        content = tuple((i, y) for i, y in enumerate(source) if y != STAR)
-        if content and not any(
-            all(concept[i] == y for i, y in content) for concept in concepts
-        ):
-            raise ContractViolationError(
-                f"extracted set fails to disambiguate sample {content}"
-            )
-    return ConceptClass(
+    extracted = ConceptClass(
         domain_size=cls.domain_size,
         concepts=tuple(concepts),
         kind=ClassKind.TOTAL,
     )
+    for source in cls.concepts:
+        content = tuple((i, y) for i, y in enumerate(source) if y != STAR)
+        if content and not extracted.agreeing(content):
+            raise ContractViolationError(
+                f"extracted set fails to disambiguate sample {content}"
+            )
+    return extracted
 
 
 # --- multiclass-to-binary reduction ------------------------------------------
@@ -733,10 +736,10 @@ ROUND_CAP_FACTOR = 64  # boosting rounds per bit of log2(m + 1)
 
 def _erm_index(cls: ConceptClass, entries: Sequence[tuple[int, int]]) -> int:
     """Index of the first stored concept consistent with all entries."""
-    for idx, concept in enumerate(cls.concepts):
-        if all(concept[i] == y for i, y in entries):
-            return idx
-    raise RealizabilityError(f"no concept is consistent with {tuple(entries)}")
+    live = cls.agreeing(entries)
+    if not live:
+        raise RealizabilityError(f"no concept is consistent with {tuple(entries)}")
+    return (live & -live).bit_length() - 1
 
 
 def _weak_blocks(entries: tuple[tuple[int, int], ...], size_cap: int):

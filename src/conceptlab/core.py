@@ -7,7 +7,10 @@ The data model is deliberately small:
 * a concept is a tuple of labels, one per domain index,
 * a ConceptClass is an ordered, duplicate-free table of concepts over a fixed
   finite domain,
-* a Sample is a canonicalized (sorted) multiset of (index, label) entries.
+* a Sample is a canonicalized (sorted) multiset of (index, label) entries,
+* ``ConceptClass.holders`` maps each defined (point, label) pair to the int
+  bitset of the concepts holding it; every consistency question reads it,
+* ``restrict`` returns the frozenset of patterns on an index sequence.
 
 Everything is immutable after construction; all operations are pure and safe
 for concurrent use on shared values.
@@ -19,7 +22,7 @@ import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 STAR: int = -1
 """Sentinel for an undefined label; never a valid defined label."""
@@ -28,6 +31,23 @@ STAR: int = -1
 class ClassKind(str, Enum):
     PARTIAL = "partial"
     TOTAL = "total"
+
+
+def is_nonnegative_int(value: object) -> bool:
+    """True for an int that is not a bool and is at least 0."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def label_bits(columns: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+    """``by[i][y]``: the int bitset of the rows carrying label y in column i
+    (bit r for row r)."""
+    by = []
+    for column in columns:
+        bits: dict[int, int] = {}
+        for r, label in enumerate(column):
+            bits[label] = bits.get(label, 0) | (1 << r)
+        by.append(bits)
+    return by
 
 
 def _check_label(value: object) -> int:
@@ -91,20 +111,34 @@ class ConceptClass:
             return iter(((),) * len(self.concepts))
         return zip(*map(self.columns.__getitem__, indices))
 
+    @functools.cached_property
+    def holders(self) -> dict[tuple[int, int], int]:
+        """``holders[i, y]``: the int bitset of the concepts (bit c for
+        ``concepts[c]``) labelled y at point i, defined labels only.  Kept
+        like ``columns``."""
+        return {
+            (i, y): bits
+            for i, by in enumerate(label_bits(self.columns))
+            for y, bits in by.items()
+            if y != STAR
+        }
+
+    def agreeing(self, entries: Iterable[tuple[int, int]]) -> int:
+        """The int bitset of the concepts agreeing with every (point, label)
+        entry.  The points are not checked."""
+        live = (1 << len(self.concepts)) - 1
+        holders = self.holders
+        for entry in entries:
+            live &= holders.get(entry, 0)
+        return live
+
     def labels_used(self) -> tuple[int, ...]:
         """Distinct defined labels appearing anywhere in the table, sorted."""
-        out = {v for concept in self.concepts for v in concept if v != STAR}
-        return tuple(sorted(out))
+        return tuple(sorted({y for _, y in self.holders}))
 
     def support_indices(self) -> tuple[int, ...]:
         """Domain indices carrying at least one defined label."""
-        out = {
-            i
-            for concept in self.concepts
-            for i, v in enumerate(concept)
-            if v != STAR
-        }
-        return tuple(sorted(out))
+        return tuple(sorted({i for i, _ in self.holders}))
 
     def check_index(self, index: int) -> None:
         if not isinstance(index, int) or isinstance(index, bool):
@@ -132,7 +166,7 @@ class Sample:
         entries = []
         for entry in self.entries:
             index, label = entry
-            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            if not is_nonnegative_int(index):
                 raise ValueError(f"sample index must be a non-negative int: {entry}")
             _check_label(label)
             if label == STAR:
@@ -157,30 +191,14 @@ class Sample:
         return tuple(sorted(set(self.entries)))
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    """Distinct label vectors a class realizes on a fixed index sequence."""
-
-    width: int
-    patterns: frozenset[tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        patterns = frozenset(tuple(p) for p in self.patterns)
-        for p in patterns:
-            if len(p) != self.width:
-                raise ValueError(f"pattern {p} does not match width {self.width}")
-        object.__setattr__(self, "patterns", patterns)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-
 def _pattern_sort_key(pattern: Sequence[int]) -> tuple[tuple[int, int], ...]:
     # lexicographic with STAR ordered after every defined label
     return tuple((1, 0) if v == STAR else (0, v) for v in pattern)
 
 
-def restrict(cls: ConceptClass, indices: Sequence[int]) -> PatternSet:
+def restrict(
+    cls: ConceptClass, indices: Sequence[int]
+) -> frozenset[tuple[int, ...]]:
     """Distinct label vectors of the class on the given index sequence.
 
     Indices may repeat (the column repeats with them); STAR entries are
@@ -189,18 +207,14 @@ def restrict(cls: ConceptClass, indices: Sequence[int]) -> PatternSet:
     indices = tuple(indices)
     for i in indices:
         cls.check_index(i)
-    patterns = frozenset(cls.project(indices))
-    return PatternSet(width=len(indices), patterns=patterns)
+    return frozenset(cls.project(indices))
 
 
 def is_realizable(cls: ConceptClass, sample: Sample) -> bool:
     """True iff a single concept is defined and agrees on every entry."""
     for index, _ in sample.entries:
         cls.check_index(index)
-    for concept in cls.concepts:
-        if all(concept[i] == y for i, y in sample.entries):
-            return True
-    return False
+    return cls.agreeing(sample.entries) != 0
 
 
 def enumerate_realizable_samples(cls: ConceptClass, m: int) -> Iterator[Sample]:
@@ -209,19 +223,14 @@ def enumerate_realizable_samples(cls: ConceptClass, m: int) -> Iterator[Sample]:
     Samples are multisets; one realizable by several concepts is yielded
     once.  The order is ascending lexicographic order of the sorted entry
     tuples.  The stream is finite, deterministic and lazy: a depth-first
-    search over the sorted distinct defined (point, label) pairs of the
-    class picks pair indices in nondecreasing order, ANDs the int bitsets
-    of the concepts holding each pair, and drops a prefix as soon as no
-    concept is left.  Beyond that pair table it holds O(m) state.
+    search over the sorted pairs of ``cls.holders`` picks pair indices in
+    nondecreasing order, ANDs the bitsets of the concepts holding each
+    pair, and drops a prefix as soon as no concept is left.  Beyond that
+    index it holds O(m) state.
     """
     if m < 1:
         raise ValueError("sample size must be at least 1")
-    holders: dict[tuple[int, int], int] = {}
-    for c, concept in enumerate(cls.concepts):
-        bit = 1 << c
-        for i, v in enumerate(concept):
-            if v != STAR:
-                holders[i, v] = holders.get((i, v), 0) | bit
+    holders = cls.holders
     pairs = sorted(holders)
     masks = [holders[p] for p in pairs]
     tails = [(p,) for p in pairs]
@@ -324,7 +333,7 @@ def _entry_to_json(value: int) -> int | str:
 def _entry_from_json(value: object) -> int:
     if value == STAR_JSON:
         return STAR
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+    if is_nonnegative_int(value):
         return value
     raise ValueError(f"invalid concept entry in class file: {value!r}")
 
@@ -347,11 +356,7 @@ def class_from_json(data: object) -> ConceptClass:
         raw = data["concepts"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed class file: {exc}") from exc
-    if (
-        not isinstance(domain_size, int)
-        or isinstance(domain_size, bool)
-        or domain_size < 0
-    ):
+    if not is_nonnegative_int(domain_size):
         raise ValueError(
             f"domain_size must be a non-negative integer, got {domain_size!r}"
         )

@@ -30,12 +30,13 @@ search less and reach the same witness:
   when (f2, f1) is one, so the first ordered witness has i < j.
 
 Both run on int bitsets over the distinct rows, with one bit per row and
-``by[i][y]`` the rows carrying label y at coordinate i.  Natarajan accepts a
-pair when ``AND_i (by[i][f1[i]] | by[i][f2[i]])`` holds 2^|S| rows: f1 and f2
-differ at every coordinate, so each such row is the mixture of exactly one
-mask.  Graph builds the rows agreeing with the anchor exactly on each mask as
-ANDs of ``by[i][anchor[i]]`` and its complement.  Every restriction is
-read by ``ConceptClass.project`` from columns the class computes once.
+``by[i][y]`` the rows carrying label y at coordinate i (``core.label_bits``).
+Natarajan accepts a pair when ``AND_i (by[i][f1[i]] | by[i][f2[i]])`` holds
+2^|S| rows: f1 and f2 differ at every coordinate, so each such row is the
+mixture of exactly one mask.  Graph builds the rows agreeing with the anchor
+exactly on each mask as ANDs of ``by[i][anchor[i]]`` and its complement.
+Every restriction is read by ``ConceptClass.project`` from columns the class
+computes once.
 
 ``dimension`` tries at most ``SUBSET_BUDGET`` subsets, then raises
 BudgetError with the lower bound completed so far and its witness.
@@ -51,7 +52,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from conceptlab import _kernels
-from conceptlab.core import STAR, ClassKind, ConceptClass
+from conceptlab.core import STAR, ClassKind, ConceptClass, label_bits
 from conceptlab.errors import BudgetError
 
 
@@ -289,18 +290,6 @@ def _distinct_rows(
     return list(dict.fromkeys(cls.project(indices)))
 
 
-def _label_bits(rows: Sequence[tuple[int, ...]]) -> list[dict[int, int]]:
-    """``by[i][label]``: the int bitset of the rows carrying label at
-    coordinate i (bit r for ``rows[r]``)."""
-    by = []
-    for column in zip(*rows):
-        bits: dict[int, int] = {}
-        for r, label in enumerate(column):
-            bits[label] = bits.get(label, 0) | (1 << r)
-        by.append(bits)
-    return by
-
-
 def n_shatters(
     cls: ConceptClass, indices: Sequence[int]
 ) -> Optional[ShatterWitness]:
@@ -337,7 +326,7 @@ def n_shatters(
     size = 1 << d
     if len(rows) < size:
         return None
-    by = _label_bits(rows)
+    by = label_bits(zip(*rows))
     # own[r][i]: the rows sharing row r's label at coordinate i
     own = [tuple(map(dict.__getitem__, by, row)) for row in rows]
     full = (1 << len(rows)) - 1
@@ -395,7 +384,7 @@ def g_shatters(
     if len(rows) < 1 << d:
         return None
     sorted_rows = sorted(rows)
-    by = _label_bits(sorted_rows)
+    by = label_bits(zip(*sorted_rows))
     full = (1 << len(rows)) - 1
     for anchor in rows:
         # hits[mask] over the coordinates taken so far: coordinate i joins
@@ -431,16 +420,13 @@ SUBSET_BUDGET = 1_000_000
 """Most index subsets ``dimension`` tries in one search."""
 
 
-def dimension(
-    cls: ConceptClass, kind: ShatterKind, *, exhaustive: bool = False
-) -> DimensionResult:
+def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
     """Largest d such that some size-d index subset is shattered.
 
     Conventions: the empty class has dimension -1; a nonempty class with no
-    shattered singleton has dimension 0.  The search ascends d and normally
-    stops at the first empty level, which is sound because shattering is
-    subset-monotone; ``exhaustive=True`` forces scanning every level (used
-    to validate the early exit).
+    shattered singleton has dimension 0.  The search ascends d and stops at
+    the first empty level, which is sound because shattering is
+    subset-monotone.
 
     Raises BudgetError before trying subset number ``SUBSET_BUDGET + 1``.
     Its ``report`` holds ``kind``, ``lower_bound`` (the best completed
@@ -453,7 +439,6 @@ def dimension(
     best = DimensionResult(value=0, witness=None)
     tried = 0
     for d in range(1, cls.domain_size + 1):
-        found = None
         for combo in itertools.combinations(range(cls.domain_size), d):
             if tried == SUBSET_BUDGET:
                 raise BudgetError(
@@ -464,13 +449,10 @@ def dimension(
             tried += 1
             witness = check(cls, combo)
             if witness is not None:
-                found = witness
-                break
-        if found is None:
-            if not exhaustive:
+                best = DimensionResult(value=d, witness=witness)
                 break
         else:
-            best = DimensionResult(value=d, witness=found)
+            break
     return best
 
 

@@ -199,6 +199,22 @@ class TestVerifyScheme:
         assert calls and max(calls.values()) == 1
 
 
+class TestReconstructionCheck:
+    # a single partial concept: every sample fits (0, anything), so only
+    # the label check can reject the reconstructions below
+    CLS = ConceptClass(2, ((0, STAR),), ClassKind.PARTIAL)
+
+    @pytest.mark.parametrize("concept", [(0, -2), (0, True), (0, 1.0), (0,)])
+    def test_verifier_rejects_a_reconstruction_that_is_no_concept(self, concept):
+        with pytest.raises(ContractViolationError):
+            verify_scheme(self.CLS, constant_scheme(concept), 1)
+
+    @pytest.mark.parametrize("concept", [(0, -2), (0, True), (0, 1.0), (0,)])
+    def test_extractor_rejects_a_reconstruction_that_is_no_concept(self, concept):
+        with pytest.raises(ContractViolationError):
+            extract_disambiguation(self.CLS, constant_scheme(concept), 1, 0)
+
+
 class TestCountingBound:
     def test_single_empty_key(self):
         assert counting_bound(1, 1, 0, 0) == 1

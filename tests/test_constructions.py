@@ -102,7 +102,7 @@ class TestBicliqueClass:
         for t in range(3, 8):
             cls = biclique_class(star_partition(t))
             for pair in itertools.combinations(range(cls.domain_size), 2):
-                patterns = restrict(cls, pair).patterns
+                patterns = restrict(cls, pair)
                 assert not ((0, 0) in patterns and (1, 1) in patterns)
 
 
@@ -158,7 +158,7 @@ class TestDisjointPairsFamily:
     def test_no_index_pair_has_agreeing_patterns(self):
         fam = disjoint_pairs_family(3)
         for pair in itertools.combinations(range(fam.domain_size), 2):
-            patterns = sorted(restrict(fam, pair).patterns)
+            patterns = sorted(restrict(fam, pair))
             for p, q in itertools.combinations(patterns, 2):
                 assert p[0] != q[0] and p[1] != q[1]
 

@@ -25,7 +25,9 @@ from conceptlab.core import (
     sample_to_json,
     union_disjoint,
 )
+from conceptlab.compression import _erm_index
 from conceptlab.constructions import biclique_class, star_partition
+from conceptlab.errors import RealizabilityError
 from conceptlab.random_classes import random_partial_class
 
 
@@ -67,23 +69,23 @@ class TestRestrict:
     def test_full_domain_is_pattern_table(self):
         cls = pclass((0, STAR), (1, 0), (1, 1))
         got = restrict(cls, (0, 1))
-        assert got.patterns == {(0, STAR), (1, 0), (1, 1)}
+        assert got == {(0, STAR), (1, 0), (1, 1)}
 
     def test_column_projection(self):
         cls = pclass((0, STAR), (1, 0), (1, 1))
-        assert restrict(cls, (1,)).patterns == {(STAR,), (0,), (1,)}
+        assert restrict(cls, (1,)) == {(STAR,), (0,), (1,)}
 
     def test_duplicate_index_duplicates_column(self):
         cls = tclass((0, 0, 0), (3, 0, 0), (0, 7, 0))
-        assert restrict(cls, (0, 0)).patterns == {(0, 0), (3, 3)}
+        assert restrict(cls, (0, 0)) == {(0, 0), (3, 3)}
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             restrict(pclass((0,)), (1,))
 
     def test_empty_index_sequence(self):
-        assert restrict(pclass((0, STAR), (1, 0)), ()).patterns == {()}
-        assert restrict(ConceptClass(2, (), ClassKind.TOTAL), ()).patterns == set()
+        assert restrict(pclass((0, STAR), (1, 0)), ()) == {()}
+        assert restrict(ConceptClass(2, (), ClassKind.TOTAL), ()) == set()
 
 
 class TestColumns:
@@ -102,6 +104,7 @@ class TestColumns:
         twin = pclass((1, STAR), (0, 2))
         before = (hash(cls), repr(cls), dumps_class(cls))
         assert cls.columns == ((1, 0), (STAR, 2))
+        assert cls.holders == {(0, 1): 0b01, (0, 0): 0b10, (1, 2): 0b10}
         assert cls == twin
         assert (hash(cls), repr(cls), dumps_class(cls)) == before
         assert hash(twin) == before[0]
@@ -215,6 +218,46 @@ class TestEnumerate:
                 assert is_realizable(cls, sample)
 
 
+@st.composite
+def classes_with_entries(draw):
+    """A partial class on at most 4 points, 3 labels and 8 concepts, and an
+    entry list that may repeat points, contradict itself, or name a pair no
+    concept holds (a label one past the alphabet)."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.integers(1, 3))
+    cell = st.sampled_from((STAR,) + tuple(range(labels)))
+    rows = draw(st.lists(st.tuples(*[cell] * n), max_size=8, unique=True))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, labels))
+    entries = draw(st.lists(entry, max_size=5))
+    return ConceptClass(n, tuple(rows), ClassKind.PARTIAL), entries
+
+
+class TestHolders:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(classes_with_entries())
+    def test_index_answers_match_the_oracle(self, drawn):
+        cls, entries = drawn
+        want = [
+            c
+            for c, concept in enumerate(cls.concepts)
+            if oracles.is_realizable([concept], entries)
+        ]
+        assert cls.agreeing(entries) == sum(1 << c for c in want)
+        if want:
+            assert _erm_index(cls, entries) == want[0]
+        else:
+            with pytest.raises(RealizabilityError):
+                _erm_index(cls, entries)
+        defined = [
+            (i, y)
+            for concept in cls.concepts
+            for i, y in enumerate(concept)
+            if y != STAR
+        ]
+        assert cls.labels_used() == tuple(sorted({y for _, y in defined}))
+        assert cls.support_indices() == tuple(sorted({i for i, _ in defined}))
+
+
 class TestDual:
     def test_row_vector_transposes(self):
         cls = tclass((0, 1))
@@ -270,7 +313,7 @@ class TestUnionDisjoint:
         b = biclique_class(star_partition(4))
         u = union_disjoint([a, b])
         block = restrict(u, tuple(range(2, 5)))
-        live = {p for p in block.patterns if any(v != STAR for v in p)}
+        live = {p for p in block if any(v != STAR for v in p)}
         assert live == set(b.concepts)
 
     def test_empty_input_rejected(self):

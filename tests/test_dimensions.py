@@ -304,11 +304,20 @@ class TestDimension:
 
     def test_early_exit_matches_exhaustive_search(self):
         rng = random.Random(41)
+        checkers = {
+            ShatterKind.DS: ds_shatters,
+            ShatterKind.NATARAJAN: n_shatters,
+            ShatterKind.GRAPH: g_shatters,
+        }
         for _ in range(40):
             cls = random_total_class(rng, 4, 6, 3)
-            for kind in (ShatterKind.DS, ShatterKind.NATARAJAN, ShatterKind.GRAPH):
+            for kind, check in checkers.items():
                 fast = dimension(cls, kind).value
-                full = dimension(cls, kind, exhaustive=True).value
+                full = oracles.naive_dimension(
+                    cls.concepts,
+                    cls.domain_size,
+                    lambda concepts, combo: check(cls, combo) is not None,
+                )
                 assert fast == full
 
     def test_vc_on_nonbinary_class_rejected(self):
