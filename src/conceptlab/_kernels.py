@@ -1,12 +1,14 @@
 """Pure-Python search kernels.
 
-Both kernels operate on a canonical (sorted) list of full-support patterns:
-tuples of equal length with non-negative integer entries.  They implement two
-deliberately independent routes to the same question so that one can serve as
-a correctness oracle for the other:
+Both kernels operate on a canonical (sorted, distinct) list of full-support
+patterns: tuples of equal length with non-negative integer entries.  They
+implement two deliberately independent routes to the same question so that
+one can serve as a correctness oracle for the other:
 
-* ``ds_fixpoint`` prunes patterns that lack an i-neighbor until stable and
-  returns the maximal neighbor-closed subset (empty iff no witness exists).
+* ``ds_fixpoint`` groups the patterns, for each coordinate i, into buckets
+  of mutual i-neighbors, and deletes any pattern that is the only live
+  member of one of its buckets until stable.  It returns the maximal
+  neighbor-closed subset (empty iff no witness exists).
 * ``ds_bruteforce_mask`` enumerates every subset of the pattern list and
   checks the neighbor condition directly from the definition.
 
@@ -21,44 +23,31 @@ BRUTEFORCE_MAX_PATTERNS = 20
 
 def ds_fixpoint(patterns: list[tuple[int, ...]]) -> list[int]:
     """Indices of the maximal subset in which every pattern has an
-    i-neighbor for every coordinate i.  Returns [] when none exists."""
-    p = len(patterns)
-    if p == 0:
+    i-neighbor for every coordinate i.  Returns [] when none exists.
+
+    A bucket is the bitmask (bit a for pattern a) of the patterns that agree
+    off coordinate i, so its members are mutual i-neighbors.  Sweeps delete
+    a pattern alone among the live members of one of its buckets until
+    nothing changes; deletion order does not change the greatest fixpoint."""
+    if not patterns or not patterns[0]:
         return []
-    d = len(patterns[0])
-    if d == 0:
-        return []
-    # neighbor bitmasks: nbr[a][i] has bit b set iff patterns a, b differ
-    # exactly at coordinate i
-    nbr = [[0] * d for _ in range(p)]
-    for a in range(p):
-        pa = patterns[a]
-        for b in range(a + 1, p):
-            pb = patterns[b]
-            diff = -1
-            for i in range(d):
-                if pa[i] != pb[i]:
-                    if diff >= 0:
-                        diff = -2
-                        break
-                    diff = i
-            if diff >= 0:
-                nbr[a][diff] |= 1 << b
-                nbr[b][diff] |= 1 << a
-    alive = (1 << p) - 1
+    buckets = []
+    for i in range(len(patterns[0])):
+        groups: dict[tuple[int, ...], int] = {}
+        for a, pa in enumerate(patterns):
+            key = pa[:i] + pa[i + 1:]
+            groups[key] = groups.get(key, 0) | 1 << a
+        buckets.extend(groups.values())
+    alive = (1 << len(patterns)) - 1
     changed = True
     while changed:
         changed = False
-        for f in range(p):
-            if not (alive >> f) & 1:
-                continue
-            row = nbr[f]
-            for i in range(d):
-                if not row[i] & alive:
-                    alive &= ~(1 << f)
-                    changed = True
-                    break
-    return [f for f in range(p) if (alive >> f) & 1]
+        for bucket in buckets:
+            live = bucket & alive
+            if live and not live & (live - 1):
+                alive ^= live
+                changed = True
+    return [f for f in range(len(patterns)) if (alive >> f) & 1]
 
 
 def ds_bruteforce_mask(patterns: list[tuple[int, ...]]) -> int:

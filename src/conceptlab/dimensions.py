@@ -13,9 +13,10 @@ Four shattering notions are implemented over finite classes:
 
 Every check returns a self-verifying witness: ``ShatterWitness.verify``
 re-derives the claim from the witness data alone, with no search.  The DS
-check runs on the pure-Python bitmask fixpoint in ``_kernels``; the
-definition-literal exhaustive search ``ds_shatters_bruteforce`` is retained
-as an independent correctness oracle.
+check rejects S with fewer than 2^|S| full-support patterns at once (see
+``ds_shatters``) and otherwise runs the pure-Python bucketed fixpoint in
+``_kernels``; the definition-literal exhaustive search
+``ds_shatters_bruteforce``, without that prune, is the independent oracle.
 
 The Natarajan and graph checks return the first witness of the
 definition-literal ordered searches: ordered concept pairs in
@@ -94,10 +95,16 @@ class ShatterWitness:
 
         This is the independent check of every search above, so it stays
         definition-literal: it projects each concept itself rather than
-        reading ``cls.columns`` or any bitset the searches use."""
-        d = len(self.indices)
-        if d == 0:
+        reading ``cls.columns`` or any bitset the searches use.
+
+        A malformed witness is rejected, never raised on: the indices must be
+        distinct points, every vector is read only once it is known realized
+        on them, and every neighbor index must name a pattern."""
+        try:
+            _checked_indices(cls, self.indices)
+        except ValueError:
             return False
+        d = len(self.indices)
         realized = {
             tuple(concept[i] for i in self.indices) for concept in cls.concepts
         }
@@ -106,28 +113,25 @@ class ShatterWitness:
             return set(self.patterns) == want and want <= realized
         if self.kind is ShatterKind.DS:
             pats = self.patterns
-            if not pats:
+            if not pats or len(self.neighbors) != len(pats):
                 return False
-            if len(self.neighbors) != len(pats):
+            if not all(q in realized and STAR not in q for q in pats):
                 return False
-            for p, pattern in enumerate(pats):
-                if pattern not in realized or any(v == STAR for v in pattern):
+            for pattern, hoods in zip(pats, self.neighbors):
+                if len(hoods) != d:
                     return False
-                for i in range(d):
-                    hood = self.neighbors[p][i]
+                for i, hood in enumerate(hoods):
                     if not hood:
                         return False
                     for q in hood:
-                        other = pats[q]
-                        if other[i] == pattern[i]:
+                        if q not in range(len(pats)):
                             return False
-                        if any(
-                            other[j] != pattern[j] for j in range(d) if j != i
-                        ):
+                        other = pats[q]
+                        if [j for j in range(d) if other[j] != pattern[j]] != [i]:
                             return False
             return True
         if self.kind is ShatterKind.NATARAJAN:
-            if self.pair is None or len(self.realizers) != 1 << d:
+            if len(self.pair or ()) != 2 or len(self.realizers) != 1 << d:
                 return False
             f1, f2 = self.pair
             if f1 not in realized or f2 not in realized:
@@ -200,24 +204,21 @@ def _full_support_patterns(
 def _ds_witness(
     indices: tuple[int, ...], patterns: Sequence[tuple[int, ...]]
 ) -> ShatterWitness:
-    d = len(indices)
-    neighbors = []
-    for pattern in patterns:
-        per_coord = []
-        for i in range(d):
-            hood = tuple(
-                q
-                for q, other in enumerate(patterns)
-                if other[i] != pattern[i]
-                and all(other[j] == pattern[j] for j in range(d) if j != i)
-            )
-            per_coord.append(hood)
-        neighbors.append(tuple(per_coord))
+    """The patterns are distinct, so ``neighbors[q][i]``, the others that
+    agree with pattern q off coordinate i, are exactly its i-neighbors."""
+    neighbors: list[list[tuple[int, ...]]] = [[] for _ in patterns]
+    for i in range(len(indices)):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for q, pattern in enumerate(patterns):
+            groups.setdefault(pattern[:i] + pattern[i + 1:], []).append(q)
+        for group in groups.values():
+            for q in group:
+                neighbors[q].append(tuple(r for r in group if r != q))
     return ShatterWitness(
         kind=ShatterKind.DS,
         indices=indices,
         patterns=tuple(patterns),
-        neighbors=tuple(neighbors),
+        neighbors=tuple(map(tuple, neighbors)),
     )
 
 
@@ -229,9 +230,18 @@ def ds_shatters(
     Any union of valid witness sets is valid, so a maximal one exists and
     iterated deletion of patterns lacking an i-neighbor finds it; shattering
     holds iff the fixpoint is nonempty.
+
+    A nonempty neighbor-closed set on d coordinates has at least 2^d
+    patterns, so with fewer full-support patterns the fixpoint is not run.
+    Proof: split the set by the value of its last coordinate.  Every
+    i-neighbor for i < d lies in the same fibre, so each nonempty fibre is
+    closed on d - 1 coordinates; every pattern has a d-neighbor in another
+    fibre, so there are at least two fibres.  By induction, 2 * 2^(d-1).
     """
     indices = _checked_indices(cls, indices)
     patterns = _full_support_patterns(cls, indices)
+    if len(patterns) < 1 << len(indices):
+        return None
     surviving = _kernels.ds_fixpoint(patterns)
     if not surviving:
         return None

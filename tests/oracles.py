@@ -87,6 +87,49 @@ def ds_shattered(concepts, indices):
     return False
 
 
+def ds_fixpoint_pairwise(patterns):
+    """Survivor indices of the DS fixpoint by pairwise neighbor test and
+    iterated deletion: the O(p^2 * d) comparison of every pair of patterns,
+    then deletion of patterns lacking a live i-neighbor until stable."""
+    p = len(patterns)
+    if p == 0:
+        return []
+    d = len(patterns[0])
+    if d == 0:
+        return []
+    # neighbor bitmasks: nbr[a][i] has bit b set iff patterns a, b differ
+    # exactly at coordinate i
+    nbr = [[0] * d for _ in range(p)]
+    for a in range(p):
+        pa = patterns[a]
+        for b in range(a + 1, p):
+            pb = patterns[b]
+            diff = -1
+            for i in range(d):
+                if pa[i] != pb[i]:
+                    if diff >= 0:
+                        diff = -2
+                        break
+                    diff = i
+            if diff >= 0:
+                nbr[a][diff] |= 1 << b
+                nbr[b][diff] |= 1 << a
+    alive = (1 << p) - 1
+    changed = True
+    while changed:
+        changed = False
+        for f in range(p):
+            if not (alive >> f) & 1:
+                continue
+            row = nbr[f]
+            for i in range(d):
+                if not row[i] & alive:
+                    alive &= ~(1 << f)
+                    changed = True
+                    break
+    return [f for f in range(p) if (alive >> f) & 1]
+
+
 def n_shattered(concepts, indices):
     d = len(indices)
     realized = patterns_on(concepts, indices)

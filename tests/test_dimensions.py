@@ -1,12 +1,14 @@
 """Shattering checkers against definition-literal oracles, witness replay,
 monotonicity, and the dimension search."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 import oracles
+from conceptlab import _kernels
 from conceptlab.core import STAR, ClassKind, ConceptClass
 from conceptlab.constructions import (
     biclique_class,
@@ -19,6 +21,7 @@ from conceptlab.constructions import (
 from conceptlab.core import union_disjoint
 from conceptlab.dimensions import (
     ShatterKind,
+    ShatterWitness,
     dimension,
     ds_shatters,
     ds_shatters_bruteforce,
@@ -86,6 +89,17 @@ class TestDsShatters:
         with pytest.raises(BudgetError):
             ds_shatters_bruteforce(big, (0, 1))
 
+    def test_fewer_than_two_to_the_d_patterns_skip_the_kernel(self, monkeypatch):
+        def kernel_called(patterns):
+            raise AssertionError(f"kernel reached with {len(patterns)} patterns")
+
+        monkeypatch.setattr(_kernels, "ds_fixpoint", kernel_called)
+        assert ds_shatters(tclass((1, 0), (1, 1), (0, 1)), (0, 1)) is None
+        cube = list(itertools.product((0, 1), repeat=3))
+        assert ds_shatters(tclass(*cube[1:]), (0, 1, 2)) is None
+        with pytest.raises(AssertionError, match="8 patterns"):
+            ds_shatters(tclass(*cube), (0, 1, 2))
+
     def test_oracle_equivalence_random(self):
         rng = random.Random(97)
         for _ in range(300):
@@ -97,6 +111,60 @@ class TestDsShatters:
                     assert (fast is None) == (slow is None), (cls, combo)
                     ref = oracles.ds_shattered(cls.concepts, combo)
                     assert (fast is not None) == ref
+
+
+class TestWitnessVerify:
+    """Malformed witnesses are rejected without raising."""
+
+    CUBE = tclass((0, 0), (0, 1), (1, 0), (1, 1))
+    TWO_LABELS = tclass((0,), (1,))
+
+    def test_well_formed_witnesses_verify(self):
+        assert ds_shatters(self.CUBE, (0, 1)).verify(self.CUBE)
+        assert n_shatters(self.CUBE, (0, 1)).verify(self.CUBE)
+        assert g_shatters(self.CUBE, (0, 1)).verify(self.CUBE)
+        assert ds_shatters(self.TWO_LABELS, (0,)).verify(self.TWO_LABELS)
+
+    def test_indices_must_be_distinct_points(self):
+        ds = ds_shatters(self.CUBE, (0, 1))
+        nat = n_shatters(self.CUBE, (0, 1))
+        for witness, indices in [
+            (ds, (0, -1)),
+            (nat, (-2, -1)),
+            (ds, (0, 5)),
+            (nat, (0, 5)),
+            (ds, (False, True)),
+            (ds, (1, 1)),
+        ]:
+            replaced = dataclasses.replace(witness, indices=indices)
+            assert replaced.verify(self.CUBE) is False, indices
+
+    def test_neighbor_lists_must_name_patterns(self):
+        ds = ds_shatters(self.CUBE, (0, 1))
+        first, rest = ds.neighbors[0], ds.neighbors[1:]
+        short = (first[:1],) + rest
+        past_end = ((first[0] + (9,),) + first[1:],) + rest
+        for neighbors in (short, past_end):
+            replaced = dataclasses.replace(ds, neighbors=neighbors)
+            assert replaced.verify(self.CUBE) is False
+        wrapped = ShatterWitness(
+            kind=ShatterKind.DS,
+            indices=(0,),
+            patterns=((0,), (1,)),
+            neighbors=(((-1,),), ((-2,),)),
+        )
+        assert wrapped.verify(self.TWO_LABELS) is False
+
+    def test_vectors_must_have_one_entry_per_index(self):
+        nat = n_shatters(self.CUBE, (0, 1))
+        graph = g_shatters(self.CUBE, (0, 1))
+        for replaced in (
+            dataclasses.replace(nat, pair=((0, 0, 0), (1, 1))),
+            dataclasses.replace(nat, pair=((0, 0),)),
+            dataclasses.replace(graph, anchor=(0,)),
+            dataclasses.replace(graph, realizers=((0,),) * 4),
+        ):
+            assert replaced.verify(self.CUBE) is False
 
 
 class TestNatarajan:

@@ -5,7 +5,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conceptlab import _kernels
 
 
@@ -72,3 +75,32 @@ class TestRouteAgreement:
         for d in (1, 2, 3):
             pats = sorted(itertools.product((0, 1), repeat=d))
             assert _kernels.ds_fixpoint(pats) == list(range(len(pats)))
+
+
+@st.composite
+def pattern_lists(draw):
+    """Sorted distinct lists of at most 90 patterns, d from 1 to 6 and
+    alphabets of 2-4; half of them contain a whole sub-cube, so that the
+    fixpoint is often nonempty."""
+    d = draw(st.integers(1, 6))
+    label = st.integers(0, draw(st.integers(1, 3)))
+    pats = draw(st.sets(st.tuples(*[label] * d), max_size=26))
+    if draw(st.booleans()):
+        sides = [draw(st.sets(label, min_size=2, max_size=2)) for _ in range(d)]
+        pats |= set(itertools.product(*sides))
+    return sorted(pats)
+
+
+class TestBucketedFixpoint:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(pattern_lists())
+    def test_matches_the_pairwise_oracle(self, pats):
+        assert _kernels.ds_fixpoint(pats) == oracles.ds_fixpoint_pairwise(pats)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(pattern_lists())
+    def test_nonempty_result_has_two_to_the_d_survivors(self, pats):
+        """The lemma behind the counting prune in ``ds_shatters``."""
+        survivors = _kernels.ds_fixpoint(pats)
+        if survivors:
+            assert len(survivors) >= 2 ** len(pats[0])
