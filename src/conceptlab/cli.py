@@ -52,7 +52,7 @@ from conceptlab.errors import (
     ConvergenceError,
     RealizabilityError,
 )
-from conceptlab.lowerbound import pipeline_certificate
+from conceptlab.lowerbound import check_pipeline_size, pipeline_certificate
 from conceptlab.random_classes import random_partial_class, random_total_class
 
 EXIT_OK = 0
@@ -236,35 +236,46 @@ def _min_compression(args: argparse.Namespace) -> int:
 
 
 def _extract_disambiguation(args: argparse.Namespace) -> int:
+    """Exit 3 from the key budget still prints the summary (``size``
+    null)."""
     cls = _load_class(args.class_file)
     scheme = _make_scheme(args.scheme, cls, args.subsample_size)
-    extracted = extract_disambiguation(cls, scheme, args.k, args.bits)
+    extracted = cut = None
+    try:
+        extracted = extract_disambiguation(cls, scheme, args.k, args.bits)
+    except BudgetError as exc:
+        cut = exc
     summary = {
         "class": args.class_file,
         "scheme": scheme.name,
         "k": args.k,
         "bit_budget": args.bits,
-        "size": extracted.n_concepts,
+        "size": None if cut is not None else extracted.n_concepts,
         "counting_bound": counting_bound(
             len(cls.support_indices()), len(cls.labels_used()), args.k, args.bits
         ),
     }
-    if args.class_out:
+    if cut is None and args.class_out:
         Path(args.class_out).write_text(dumps_class(extracted), encoding="utf-8")
     _emit(_json_text(summary), args.out)
+    if cut is not None:
+        raise cut
     return EXIT_OK
 
 
 def _pipeline(args: argparse.Namespace) -> int:
     """Exit 3 past the chromatic cap still prints the fields known before
-    the search (``chromatic_floor`` null)."""
+    the search (``chromatic_floor`` null), for every scheme and before the
+    scheme is built; exit 3 from the extraction key budget prints every
+    field known by then (``disambiguation_size`` null)."""
     t = args.t
-    if args.scheme == "builtin":
-        scheme = star_biclique_scheme(t)
-    else:
-        cls = biclique_class(star_partition(t))
-        scheme = _make_scheme(args.scheme, cls, None)
     try:
+        check_pipeline_size(t, args.k, args.bits)
+        if args.scheme == "builtin":
+            scheme = star_biclique_scheme(t)
+        else:
+            cls = biclique_class(star_partition(t))
+            scheme = _make_scheme(args.scheme, cls, None)
         report = pipeline_certificate(t, scheme, args.k, args.bits)
     except BudgetError as exc:
         _emit(_json_text(exc.report), args.out)

@@ -507,7 +507,12 @@ def _find_assignment(
     ``list_coloring`` does the search; BudgetError after ``node_budget``
     nodes.
     """
-    bitstrings = list(_bitstrings(bit_budget))
+    # Keys that differ only in their bits are listed by exactly the same
+    # samples, so list_coloring puts them in one interchangeable class.  It
+    # opens the colors of a class in ascending order and never more of them
+    # than there are samples, so no bit string past the first len(samples)
+    # is ever tried: listing only those changes no coloring it finds.
+    bitstrings = list(itertools.islice(_bitstrings(bit_budget), len(samples)))
     subs_of = []
     for sample in samples:
         subs = set()
@@ -639,6 +644,9 @@ def min_compression_size(cls: ConceptClass, m: int, bit_budget: int) -> int:
 
 # --- compression implies disambiguation --------------------------------------
 
+EXTRACTION_KEY_BUDGET = 100_000
+"""Most keys ``extract_disambiguation`` probes."""
+
 
 def extract_disambiguation(
     cls: ConceptClass,
@@ -663,19 +671,31 @@ def extract_disambiguation(
     The caller is responsible for the scheme being valid on ``cls`` for all
     sample sizes up to the support size; the reconstruction must tolerate
     every probed key (table schemes fall back to their default).
+
+    The subsamples are streamed, and the keys counted as they are probed:
+    BudgetError before probing key number ``EXTRACTION_KEY_BUDGET + 1``.
     """
     if k < 0 or bit_budget < 0:
         raise ValueError(
             f"k and bit budget must be non-negative, got k={k}, "
             f"bit_budget={bit_budget}"
         )
-    subsamples: list[Sample] = [Sample(())]
-    for size in range(1, k + 1):
-        subsamples.extend(enumerate_realizable_samples(cls, size))
+    subsamples = itertools.chain(
+        [Sample(())],
+        itertools.chain.from_iterable(
+            enumerate_realizable_samples(cls, size) for size in range(1, k + 1)
+        ),
+    )
     concepts: list[tuple[int, ...]] = []
     seen = set()
+    probed = 0
     for subsample in subsamples:
         for bits in _bitstrings(bit_budget):
+            if probed == EXTRACTION_KEY_BUDGET:
+                raise BudgetError(
+                    f"extraction key budget {EXTRACTION_KEY_BUDGET} exhausted"
+                )
+            probed += 1
             key = CompressionKey(subsample, bits)
             concept = scheme.reconstruct(key)
             if concept not in seen:
@@ -758,14 +778,21 @@ def boosted_scheme(
 ) -> CompressionScheme:
     """Majority-vote compression via multiplicative-weights boosting.
 
+    reconstruct: check the fixed 24-bit header (8-bit block size s, 16-bit
+    round count), cut the sorted key entries into runs of s, take the
+    first-consistent-concept ERM of each run, and return the plurality vote
+    over the full domain (ties toward the lowest label).
+
     compress: repeatedly pick the first sub-multiset (at most
     ``subsample_size`` entries, increasing size then lexicographic) whose
-    first-consistent-concept ERM has weighted error at most 1/2 - 1/8 on the
-    sample; downweight correctly handled entries; stop once the plurality
-    vote of the collected ERMs (ties toward the lowest label) is correct on
-    the whole sample.  The key holds the concatenated blocks padded to
-    uniform length by repeating their first entry, plus a fixed 24-bit
-    header (8-bit block size, 16-bit round count).
+    ERM has weighted error at most 1/2 - 1/8 on the sample, pad it to s
+    entries by repeating its first entry, and add it to the key; return the
+    first key whose ``reconstruct`` is correct on the whole sample,
+    otherwise downweight the entries the chosen block's concept gets right.
+    The key is a sorted multiset, so the runs the reconstructor votes over
+    need not be the chosen blocks: the AdaBoost.M1 bound covers the vote of
+    the chosen blocks, not this one, and a realizable sample can still
+    raise ConvergenceError at the round cap.
 
     The weights are exact integers: every entry starts at 1, and a round
     multiplies correct entries by 3 and wrong ones by 5, which is beta = 3/5
@@ -773,9 +800,6 @@ def boosted_scheme(
     8 * error <= 3 * total weight.  The test and the update depend only on
     the ratios of the weights, which normalisation never changes, so every
     decision is that of normalised rational weights.
-
-    reconstruct: split by the header, rerun the deterministic ERM per block,
-    return the plurality-vote concept over the full domain.
 
     The scheme memoizes the ERM index of every block it meets, shared by
     compress and reconstruct for the life of the scheme object.
@@ -801,75 +825,6 @@ def boosted_scheme(
             idx = erm_of[block] = _erm_index(cls, block)
         return idx
 
-    def vote(erm_indices: Sequence[int]) -> tuple[int, ...]:
-        out = []
-        for x in range(cls.domain_size):
-            counts: dict[int, int] = {}
-            for idx in erm_indices:
-                label = cls.concepts[idx][x]
-                counts[label] = counts.get(label, 0) + 1
-            best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-            out.append(best[0])
-        return tuple(out)
-
-    def _vote_from_key(entries: tuple[tuple[int, int], ...], rounds: int):
-        # keys are canonical (sorted) multisets, so the block structure the
-        # reconstructor sees is "sorted entries chunked in runs of
-        # subsample_size"; the compressor stops on exactly this view
-        erms = []
-        for r in range(rounds):
-            block = entries[r * subsample_size : (r + 1) * subsample_size]
-            erms.append(erm(block))
-        return vote(erms)
-
-    def _make_key(blocks: Sequence[tuple[tuple[int, int], ...]]) -> CompressionKey:
-        padded: list[tuple[int, int]] = []
-        for blk in blocks:
-            padded.extend(blk + (blk[0],) * (subsample_size - len(blk)))
-        bits = format(subsample_size, "08b") + format(len(blocks), "016b")
-        # the entries come from an already validated sample
-        return CompressionKey(Sample._canonical(tuple(sorted(padded))), bits)
-
-    def compress(sample: Sample) -> CompressionKey:
-        entries = sample.entries
-        if not entries:
-            raise RealizabilityError("cannot compress an empty sample")
-        m = len(entries)
-        round_cap = ROUND_CAP_FACTOR * max(1, math.ceil(math.log2(m + 1)))
-        weights = [1] * m
-        blocks: list[tuple[tuple[int, int], ...]] = []
-        for _ in range(round_cap):
-            total = sum(weights)
-            chosen = None
-            for block in _weak_blocks(entries, subsample_size):
-                idx = erm(block)
-                concept = cls.concepts[idx]
-                error = sum(
-                    w for w, (i, y) in zip(weights, entries) if concept[i] != y
-                )
-                if error * weak_den <= weak_num * total:
-                    chosen = (block, idx)
-                    break
-            if chosen is None:
-                raise RealizabilityError(
-                    "no weak hypothesis found; sample not realizable at this "
-                    "subsample size"
-                )
-            block, idx = chosen
-            blocks.append(block)
-            key = _make_key(blocks)
-            voted = _vote_from_key(key.subsample.entries, len(blocks))
-            if all(voted[i] == y for i, y in entries):
-                return key
-            concept = cls.concepts[idx]
-            weights = [
-                w * beta_num if concept[i] == y else w * beta_den
-                for w, (i, y) in zip(weights, entries)
-            ]
-        raise ConvergenceError(
-            f"plurality vote not correct after {round_cap} rounds"
-        )
-
     def reconstruct(key: CompressionKey) -> tuple[int, ...]:
         bits = key.bits
         if len(bits) != HEADER_BITS:
@@ -879,7 +834,53 @@ def boosted_scheme(
         entries = key.subsample.entries
         if size != subsample_size or rounds < 1 or len(entries) != size * rounds:
             raise ValueError("header does not match subsample length")
-        return _vote_from_key(entries, rounds)
+        voters = [
+            cls.concepts[erm(entries[r : r + size])]
+            for r in range(0, len(entries), size)
+        ]
+        return tuple(
+            min(set(labels), key=lambda y: (-labels.count(y), y))
+            for labels in zip(*voters)
+        )
+
+    def compress(sample: Sample) -> CompressionKey:
+        entries = sample.entries
+        if not entries:
+            raise RealizabilityError("cannot compress an empty sample")
+        m = len(entries)
+        round_cap = ROUND_CAP_FACTOR * max(1, math.ceil(math.log2(m + 1)))
+        weights = [1] * m
+        padded: list[tuple[int, int]] = []
+        for rounds in range(1, round_cap + 1):
+            total = sum(weights)
+            for block in _weak_blocks(entries, subsample_size):
+                concept = cls.concepts[erm(block)]
+                error = sum(
+                    w for w, (i, y) in zip(weights, entries) if concept[i] != y
+                )
+                if error * weak_den <= weak_num * total:
+                    break
+            else:
+                raise RealizabilityError(
+                    "no weak hypothesis found; sample not realizable at this "
+                    "subsample size"
+                )
+            padded.extend(block + (block[0],) * (subsample_size - len(block)))
+            # the entries come from an already validated sample
+            key = CompressionKey(
+                Sample._canonical(tuple(sorted(padded))),
+                format(subsample_size, "08b") + format(rounds, "016b"),
+            )
+            voted = reconstruct(key)
+            if all(voted[i] == y for i, y in entries):
+                return key
+            weights = [
+                w * beta_num if concept[i] == y else w * beta_den
+                for w, (i, y) in zip(weights, entries)
+            ]
+        raise ConvergenceError(
+            f"plurality vote not correct after {round_cap} rounds"
+        )
 
     return CompressionScheme(
         name=f"boosted(s={subsample_size})", compress=compress, reconstruct=reconstruct

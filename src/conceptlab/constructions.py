@@ -15,10 +15,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
-from conceptlab.core import STAR, ClassKind, ConceptClass
+from conceptlab.core import STAR, ClassKind, ConceptClass, check_table_size
 from conceptlab.errors import BudgetError
 
 
@@ -107,9 +108,13 @@ class BicliquePartition:
 def star_partition(t: int) -> BicliquePartition:
     """K_t partitioned into t-1 stars: part i joins vertex i to all later
     vertices.  Exactly covers the edge set; the minimum possible part count
-    for a complete graph is t-1."""
+    for a complete graph is t-1.
+
+    BudgetError when its biclique class, t concepts over t-1 points, would
+    exceed the table budget (``core.check_table_size``)."""
     if t < 2:
         raise ValueError("star partition needs t >= 2")
+    check_table_size(t, t - 1)
     parts = tuple(
         (frozenset({i}), frozenset(range(i + 1, t))) for i in range(t - 1)
     )
@@ -196,12 +201,18 @@ def haussler_long_class(
     ``n_labels`` and at most ``max_nonzero`` nonzero entries.
 
     The class has sum_{i<=max_nonzero} C(domain_size, i) * (n_labels-1)^i
-    concepts and Natarajan dimension exactly ``max_nonzero``.
+    concepts and Natarajan dimension exactly ``max_nonzero``.  The sum is
+    checked against the table budget (``core.check_table_size``) term by
+    term, before any concept is built.
     """
     if not 1 <= max_nonzero <= domain_size:
         raise ValueError("need 1 <= max_nonzero <= domain_size")
     if n_labels < 2:
         raise ValueError("need at least two labels")
+    n_concepts = 0
+    for size in range(max_nonzero + 1):
+        n_concepts += math.comb(domain_size, size) * (n_labels - 1) ** size
+        check_table_size(n_concepts, domain_size)
     concepts = []
     for size in range(max_nonzero + 1):
         for positions in itertools.combinations(range(domain_size), size):

@@ -24,8 +24,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+from conceptlab.errors import BudgetError
+
 STAR: int = -1
 """Sentinel for an undefined label; never a valid defined label."""
+
+TABLE_ENTRY_BUDGET = 1_000_000
+"""Most table entries (concepts times domain points) a generator builds."""
 
 
 class ClassKind(str, Enum):
@@ -36,6 +41,17 @@ class ClassKind(str, Enum):
 def is_nonnegative_int(value: object) -> bool:
     """True for an int that is not a bool and is at least 0."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def check_table_size(n_concepts: int, domain_size: int) -> None:
+    """BudgetError when ``n_concepts`` concepts over ``domain_size`` points
+    exceed ``TABLE_ENTRY_BUDGET`` table entries.  Generators call it before
+    they build anything."""
+    if n_concepts * domain_size > TABLE_ENTRY_BUDGET:
+        raise BudgetError(
+            f"{n_concepts} concepts over {domain_size} points exceed the "
+            f"table budget of {TABLE_ENTRY_BUDGET} entries"
+        )
 
 
 def label_bits(columns: Iterable[Sequence[int]]) -> list[dict[int, int]]:
@@ -299,6 +315,7 @@ def union_disjoint(classes: Sequence[ConceptClass]) -> ConceptClass:
     for cls in classes:
         offsets.append(total)
         total += cls.domain_size
+    check_table_size(sum(cls.n_concepts for cls in classes), total)
     concepts: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for cls, offset in zip(classes, offsets):

@@ -197,8 +197,10 @@ def _checked_indices(cls: ConceptClass, indices: Sequence[int]) -> tuple[int, ..
 
 def _full_support_patterns(
     cls: ConceptClass, indices: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    return sorted(p for p in set(cls.project(indices)) if STAR not in p)
+) -> set[tuple[int, ...]]:
+    """The distinct restrictions to the indices that have no STAR, unsorted:
+    callers that only count or test membership skip the sort."""
+    return {p for p in set(cls.project(indices)) if STAR not in p}
 
 
 def _ds_witness(
@@ -242,6 +244,7 @@ def ds_shatters(
     patterns = _full_support_patterns(cls, indices)
     if len(patterns) < 1 << len(indices):
         return None
+    patterns = sorted(patterns)
     surviving = _kernels.ds_fixpoint(patterns)
     if not surviving:
         return None
@@ -258,7 +261,7 @@ def ds_shatters_bruteforce(
     20 patterns (2^20 subsets).
     """
     indices = _checked_indices(cls, indices)
-    patterns = _full_support_patterns(cls, indices)
+    patterns = sorted(_full_support_patterns(cls, indices))
     try:
         mask = _kernels.ds_bruteforce_mask(patterns)
     except ValueError as exc:
@@ -279,7 +282,7 @@ def vc_shatters(
         raise ValueError(
             f"VC shattering needs labels within {{0, 1}}, class uses {sorted(labels)}"
         )
-    realized = set(_full_support_patterns(cls, indices))
+    realized = _full_support_patterns(cls, indices)
     want = set(itertools.product((0, 1), repeat=len(indices)))
     if not want <= realized:
         return None

@@ -124,6 +124,27 @@ def chromatic_number(graph: Graph) -> int:
     return c
 
 
+def check_pipeline_size(t: int, k: int, bit_budget: int) -> None:
+    """BudgetError when K_t has more than ``CHROMATIC_MAX_VERTICES``
+    vertices, so that the exact chromatic floor is out of reach; raised
+    before anything of size t is built.  Its ``report`` holds the pipeline
+    fields known without the search, with ``chromatic_floor`` None."""
+    if t > CHROMATIC_MAX_VERTICES:
+        n = t - 1  # the star partition of K_t has t - 1 parts
+        raise BudgetError(
+            f"exact chromatic search capped at {CHROMATIC_MAX_VERTICES} "
+            f"vertices, got {t}",
+            report={
+                "t": t,
+                "n_parts": n,
+                "k": k,
+                "bit_budget": bit_budget,
+                "chromatic_floor": None,
+                "counting_ceiling": counting_bound(n, 2, k, bit_budget),
+            },
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class PipelineReport:
     """Certificate for one (t, k, bit_budget, scheme) pipeline run.
@@ -170,28 +191,17 @@ def pipeline_certificate(
     (ContractViolationError), is reported invalid; any other exception it
     raises propagates.
 
-    Past ``CHROMATIC_MAX_VERTICES`` the chromatic search raises BudgetError;
-    its ``report`` holds the fields known before the search, with
-    ``chromatic_floor`` None.
+    Past ``CHROMATIC_MAX_VERTICES`` vertices ``check_pipeline_size`` raises
+    BudgetError before anything is built.  When extraction runs out of its
+    key budget, the BudgetError's ``report`` holds every field known by
+    then, with ``disambiguation_size`` and the checks that need it None.
     """
+    check_pipeline_size(t, k, bit_budget)
     partition = star_partition(t)
     partial = biclique_class(partition)
     n = partition.n_parts
     ceiling = counting_bound(n, 2, k, bit_budget)
-    try:
-        floor = chromatic_number(partition.graph)
-    except BudgetError as exc:
-        raise BudgetError(
-            str(exc),
-            report={
-                "t": t,
-                "n_parts": n,
-                "k": k,
-                "bit_budget": bit_budget,
-                "chromatic_floor": None,
-                "counting_ceiling": ceiling,
-            },
-        ) from None
+    floor = chromatic_number(partition.graph)
     report = PipelineReport(
         t=t,
         n_parts=n,
@@ -211,10 +221,15 @@ def pipeline_certificate(
         scheme_valid = False
     if not scheme_valid:
         return dataclasses.replace(report, scheme_valid=False, ok=False)
-    size = extract_disambiguation(partial, scheme, k, bit_budget).n_concepts
+    report = dataclasses.replace(report, scheme_valid=True)
+    try:
+        size = extract_disambiguation(partial, scheme, k, bit_budget).n_concepts
+    except BudgetError as exc:
+        raise BudgetError(
+            str(exc), report={**report.to_json(), "ok": None}
+        ) from None
     return dataclasses.replace(
         report,
-        scheme_valid=True,
         disambiguation_size=size,
         size_ge_floor=size >= floor,
         size_le_ceiling=size <= ceiling,

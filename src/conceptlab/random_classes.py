@@ -6,15 +6,17 @@ from __future__ import annotations
 
 import random
 
-from conceptlab.core import STAR, ClassKind, ConceptClass
+from conceptlab.core import STAR, ClassKind, ConceptClass, check_table_size
 
 
 def random_total_class(
     rng: random.Random, domain_size: int, n_concepts: int, n_labels: int
 ) -> ConceptClass:
-    """A total class with up to ``n_concepts`` distinct random concepts."""
+    """A total class with up to ``n_concepts`` distinct random concepts;
+    BudgetError past the table budget (``core.check_table_size``)."""
     if domain_size < 1 or n_concepts < 1 or n_labels < 1:
         raise ValueError("domain_size, n_concepts and n_labels must be positive")
+    check_table_size(n_concepts, domain_size)
     seen = set()
     attempts = 0
     while len(seen) < n_concepts and attempts < 50 * n_concepts:
@@ -34,9 +36,11 @@ def random_partial_class(
     n_labels: int,
     star_probability: float = 0.3,
 ) -> ConceptClass:
-    """A partial class; each entry is undefined with ``star_probability``."""
+    """A partial class; each entry is undefined with ``star_probability``.
+    BudgetError past the table budget (``core.check_table_size``)."""
     if domain_size < 1 or n_concepts < 1 or n_labels < 1:
         raise ValueError("domain_size, n_concepts and n_labels must be positive")
+    check_table_size(n_concepts, domain_size)
     seen = set()
     attempts = 0
     while len(seen) < n_concepts and attempts < 50 * n_concepts:

@@ -3,6 +3,7 @@ reproducibility."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import conceptlab
 from conceptlab.cli import main, report_table
 from conceptlab.compression import SchemeReport
-from conceptlab.core import loads_class
+from conceptlab.core import enumerate_realizable_samples, loads_class
 
 PKG_ROOT = str(Path(conceptlab.__file__).resolve().parent.parent)
 SUBPROCESS_ENV = dict(
@@ -497,3 +498,108 @@ class TestProcessLevel:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _run_limited(argv):
+    """The CLI in a child limited to 1 GB of address space and 5 s."""
+    return subprocess.run(
+        [sys.executable, "-m", "conceptlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+        preexec_fn=_limit_address_space,
+        timeout=5,
+    )
+
+
+class TestOversizedInputs:
+    """Inputs whose key space, sample tables or class tables are far too
+    large to build answer or exit 3 at once, in a child limited to 1 GB of
+    address space, and print no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code, fields",
+        [
+            (["pipeline", "--t", "4", "--k", "1", "--bits", "30"], 3,
+             {"chromatic_floor": 4, "scheme_valid": True,
+              "disambiguation_size": None, "ok": None}),
+            (["extract-disambiguation", "--class", "{b4}", "--k", "1",
+              "--bits", "30"], 3, {"size": None}),
+            (["min-compression", "--class", "{cube}", "--m", "1", "--bits",
+              "22"], 0, {"k": 0, "certificate_valid": True}),
+            (["min-compression", "--class", "{cube}", "--m", "2", "--bits",
+              "30"], 0, {"k": 0, "certificate_valid": True}),
+            (["pipeline", "--t", "2000", "--k", "1", "--bits", "1"], 3,
+             {"n_parts": 1999, "chromatic_floor": None}),
+            (["pipeline", "--t", "20000", "--k", "1", "--bits", "1"], 3,
+             {"n_parts": 19999, "chromatic_floor": None}),
+            (["pipeline", "--t", "20000", "--k", "1", "--bits", "1",
+              "--scheme", "boosted"], 3, {"chromatic_floor": None}),
+            (["gen", "--family", "haussler-long", "--points", "14",
+              "--labels", "9", "--max-nonzero", "14"], 3, None),
+            (["gen", "--family", "biclique", "--t", "20000"], 3, None),
+            (["gen", "--family", "random", "--points", "1000", "--concepts",
+              "10000000", "--labels", "3"], 3, None),
+        ],
+        ids=[
+            "pipeline-bits30", "extract-bits30", "min-compression-bits22",
+            "min-compression-bits30", "pipeline-t2000", "pipeline-t20000",
+            "pipeline-t20000-boosted", "gen-haussler-long", "gen-biclique",
+            "gen-random",
+        ],
+    )
+    def test_exits_fast_without_traceback(self, tmp_path, argv, code, fields):
+        files = {"b4": tmp_path / "b4.json", "cube": tmp_path / "cube.json"}
+        run_cli("gen", "--family", "biclique", "--t", "4", "--out", str(files["b4"]))
+        run_cli(
+            "gen", "--family", "haussler-long", "--points", "2", "--labels",
+            "2", "--max-nonzero", "2", "--out", str(files["cube"]),
+        )
+        proc = _run_limited([arg.format(**files) for arg in argv])
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if fields is None:
+            assert proc.stdout == ""
+        else:
+            data = json.loads(proc.stdout)
+            assert {name: data[name] for name in fields} == fields
+
+    @pytest.mark.parametrize(
+        "family, m",
+        [
+            (["haussler-long", "--points", "2", "--labels", "2",
+              "--max-nonzero", "2"], 1),
+            (["haussler-long", "--points", "2", "--labels", "2",
+              "--max-nonzero", "2"], 2),
+            (["haussler-long", "--points", "3", "--labels", "2",
+              "--max-nonzero", "2"], 2),
+            (["biclique", "--t", "4"], 2),
+        ],
+        ids=["cube-m1", "cube-m2", "hl-3-2-2-m2", "biclique-4-m2"],
+    )
+    def test_huge_bit_budget_certificate_is_the_smallest_sufficient_one(
+        self, tmp_path, family, m
+    ):
+        # N samples never need more than N bit strings per sub-multiset, so
+        # every budget b with 2^(b+1) - 1 >= N gives the same certificate
+        cls_file = tmp_path / "cls.json"
+        run_cli("gen", "--family", *family, "--out", str(cls_file))
+        n = sum(1 for _ in enumerate_realizable_samples(
+            loads_class(cls_file.read_text()), m))
+        b = next(b for b in range(31) if 2 ** (b + 1) - 1 >= n)
+        certs = {bits: tmp_path / f"cert{bits}.json" for bits in (b, 30)}
+        assert run_cli(
+            "min-compression", "--class", str(cls_file), "--m", str(m),
+            "--bits", str(b), "--certificate", str(certs[b]),
+        ) == 0
+        proc = _run_limited([
+            "min-compression", "--class", str(cls_file), "--m", str(m),
+            "--bits", "30", "--certificate", str(certs[30]),
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert certs[30].read_text() == certs[b].read_text()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracles
+from conceptlab import compression
 from conceptlab.core import (
     STAR,
     ClassKind,
@@ -405,6 +406,17 @@ class TestExtractDisambiguation:
         with pytest.raises(ContractViolationError):
             extract_disambiguation(cls, star_biclique_scheme(3), 0, 0)
 
+    def test_key_budget_counts_every_probed_key(self, monkeypatch):
+        cls = biclique_class(star_partition(3))
+        scheme = star_biclique_scheme(3)
+        # the empty subsample and every one-entry sample, 3 bit strings each
+        keys = 3 * (1 + sum(1 for _ in enumerate_realizable_samples(cls, 1)))
+        monkeypatch.setattr(compression, "EXTRACTION_KEY_BUDGET", keys)
+        extract_disambiguation(cls, scheme, 1, 1)
+        monkeypatch.setattr(compression, "EXTRACTION_KEY_BUDGET", keys - 1)
+        with pytest.raises(BudgetError, match=f"key budget {keys - 1}"):
+            extract_disambiguation(cls, scheme, 1, 1)
+
     def test_coverage_check_agrees_with_enumerating_oracle(self):
         rng = random.Random(29)
         outcomes = set()
@@ -537,6 +549,35 @@ class TestBoostedScheme:
             cls.domain_size, len(cls.labels_used()), max_sub, max_bits
         )
         assert len(keys) <= bound
+
+    @pytest.mark.parametrize(
+        "cls, max_m",
+        [(haussler_long_class(4, 2, 1), 5), (graph_dim_blowup_example()[1], 4)],
+        ids=["hl-4-2-1", "worked-total"],
+    )
+    def test_compress_returns_a_key_its_reconstruction_gets_right(
+        self, cls, max_m
+    ):
+        # the reconstruction is the plurality vote (ties to the lowest
+        # label) of the first consistent concepts of the sorted key cut
+        # into runs of s, recomputed here by scanning the concepts
+        scheme = boosted_scheme(cls)
+        for m in range(1, max_m + 1):
+            for sample in enumerate_realizable_samples(cls, m):
+                key = scheme.compress(sample)
+                concept = scheme.reconstruct(key)
+                assert all(concept[i] == y for i, y in sample.entries)
+                s = int(key.bits[:8], 2)
+                entries = key.subsample.entries
+                voters = [
+                    next(c for c in cls.concepts
+                         if all(c[i] == y for i, y in entries[r : r + s]))
+                    for r in range(0, len(entries), s)
+                ]
+                votes = [collections.Counter(labels) for labels in zip(*voters)]
+                assert concept == tuple(
+                    max(sorted(count), key=count.__getitem__) for count in votes
+                )
 
     def test_total_class_required(self):
         with pytest.raises(ValueError):
