@@ -12,6 +12,7 @@ CSV with LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -69,7 +70,19 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json_text(data: object) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """The package's own report as JSON.  Counting bounds can have more
+    digits than the interpreter's int-to-string limit, so the limit is
+    lifted while the report is serialized and restored afterwards; it stays
+    in force whenever input is parsed."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # Python 3.10 has no limit
+        return json.dumps(data, indent=2) + "\n"
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(data, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _load_class(path: str) -> ConceptClass:
@@ -318,7 +331,10 @@ def _report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first ``main`` call and reused by every
+    later one in the process (its ``prog`` is fixed)."""
     parser = argparse.ArgumentParser(
         prog="conceptlab",
         description="exact dimension, compression, and coloring certificates "

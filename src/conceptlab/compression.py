@@ -362,17 +362,19 @@ def list_coloring(
     conflicting vertices share a color; None when exhaustive search rules
     every such coloring out.
 
-    Vertex v may take the colors ``lists[v]``: small non-negative ints in
-    ascending order.  ``conflicts[v]`` is the int bitset of the vertices
-    that conflict with v (symmetric, without v itself).
+    Vertex v may take the colors ``lists[v]``: distinct small non-negative
+    ints in ascending order.  ``conflicts[v]`` is the int bitset of the
+    vertices that conflict with v (symmetric, without v itself).
 
     The search is iterative, with an explicit stack:
 
     * a greedy clique whose members outnumber the union of their lists
       refutes the instance before any search;
     * the next vertex is the unassigned one with the fewest usable colors
-      (DSatur, Brelaz 1979), ties to the lowest index; the scan stops at
-      the first vertex with at most one;
+      (DSatur, Brelaz 1979), ties to the lowest index, except that the
+      lowest-indexed one with at most one usable color goes first; the
+      usable-color counts are kept up to date as colors are taken and
+      given back, not recounted at every node;
     * colors listed by exactly the same vertices are interchangeable, so of
       those that no vertex uses yet only the lowest is tried (for lists
       ``range(c)`` this is the usual "open color max+1" rule);
@@ -397,15 +399,18 @@ def list_coloring(
     for c in sorted(holders):
         classes.setdefault(holders[c], []).append(c)
     slot = [(0, 0)] * n_colors  # color -> (its class, its rank there)
-    for cl, colors in enumerate(classes.values()):
+    listers = [0] * n_colors  # vertices listing c
+    has_next = [False] * n_colors  # c is not the last color of its class
+    for cl, (bits, colors) in enumerate(classes.items()):
         for rank, c in enumerate(colors):
             slot[c] = (cl, rank)
+            listers[c] = bits
+            has_next[c] = rank + 1 < len(colors)
     opened = [0] * len(classes)
     options_of = [tuple((c, *slot[c]) for c in colors) for colors in lists]
     forbidden = [0] * n_colors  # vertices conflicting with a holder of c
     members = [0] * n_colors
     color_of = [-1] * n
-    free = (1 << n) - 1
 
     def usable(v: int, bit: int) -> list[int]:
         out = []
@@ -415,39 +420,56 @@ def list_coloring(
                 out.append(c)
         return out
 
-    def select() -> Optional[list]:
-        """The stack frame of the next vertex, or None when all are colored:
-        [vertex, its usable colors, next option, the forbidden set of the
-        color it holds before it took it]."""
-        best_v, best_n = -1, n_colors + 1
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            count = 0
-            for c, cl, rank in options_of[v]:
-                head = opened[cl]
-                if rank == head or (rank < head and not forbidden[c] & bit):
-                    count += 1
-                    if count >= best_n:
-                        break
-            if count < best_n:
-                best_v, best_n = v, count
-                if count <= 1:
-                    break
-        if best_v < 0:
-            return None
-        return [best_v, usable(best_v, 1 << best_v), 0, 0]
+    # How many colors each vertex may take now, kept for every vertex in
+    # binary: bit j of v's count is bit v of plane[j], so adding 1 to (or
+    # taking 1 from) a whole set of vertices is a ripple of carries (or
+    # borrows) through the planes.  At the start v may take the first color
+    # of each class it lists.
+    counts = [
+        sum(1 for *_, rank in options if not rank) for options in options_of
+    ]
+    plane = [
+        sum(1 << v for v, k in enumerate(counts) if k >> j & 1)
+        for j in range(max(1, max(map(len, lists), default=0).bit_length()))
+    ]
+    free = (1 << n) - 1
 
-    nodes = 0
-    first = select()
-    if first is None:
+    def shift(vertices: int, delta: int) -> None:
+        """Add delta (1 or -1) to the count of each of ``vertices``."""
+        j = 0
+        while vertices:  # the vertices still carrying (or borrowing)
+            p = plane[j]
+            plane[j] = p ^ vertices
+            vertices &= p if delta > 0 else ~p
+            j += 1
+
+    def select(free: int) -> list:
+        """The stack frame of the next vertex among ``free`` (nonzero):
+        [vertex, its usable colors, next option, the forbidden set of the
+        color it holds before it took it, the vertices whose counts that
+        color moved, and by how much]."""
+        low = free
+        for p in plane[1:]:
+            low &= ~p
+        if not low:
+            # none has at most one color: narrow to the fewest, digit by
+            # digit from the top
+            low = free
+            for p in reversed(plane):
+                rest = low & ~p
+                if rest:
+                    low = rest
+        bit = low & -low
+        v = bit.bit_length() - 1
+        return [v, usable(v, bit), 0, 0, 0, 0]
+
+    if not free:
         return color_of
-    stack = [first]
+    nodes = 0
+    stack = [select(free)]
     while stack:
         frame = stack[-1]
-        v, options, i, saved = frame
+        v, options, i, saved, moved, delta = frame
         bit = 1 << v
         c = color_of[v]
         if c >= 0:
@@ -455,6 +477,7 @@ def list_coloring(
             members[c] -= 1
             if not members[c]:
                 opened[slot[c][0]] -= 1
+            shift(moved, -delta)
             color_of[v] = -1
             free |= bit
         if i == len(options):
@@ -464,18 +487,27 @@ def list_coloring(
         if node_budget is not None and nodes > node_budget:
             raise BudgetError(f"node budget {node_budget} exhausted")
         c = options[i]
-        frame[2] = i + 1
-        frame[3] = forbidden[c]
-        forbidden[c] |= conflicts[v]
-        if not members[c]:
+        saved = forbidden[c]
+        forbidden[c] = saved | conflicts[v]
+        if members[c]:
+            # c's listers that v's conflicts newly forbid lose it
+            moved, delta = listers[c] & conflicts[v] & ~saved, -1
+        else:
+            # c opens: every lister gains the class's next color, if there
+            # is one, and those among v's conflicts lose c
             opened[slot[c][0]] += 1
+            if has_next[c]:
+                moved, delta = listers[c] & ~conflicts[v], 1
+            else:
+                moved, delta = listers[c] & conflicts[v], -1
         members[c] += 1
         color_of[v] = c
         free ^= bit
-        step = select()
-        if step is None:
+        shift(moved, delta)
+        frame[2:] = i + 1, saved, moved, delta
+        if not free:
             return color_of
-        stack.append(step)
+        stack.append(select(free))
     return None
 
 

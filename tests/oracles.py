@@ -372,3 +372,150 @@ def boosted_compress_reference(concepts, entries, subsample_size):
         total = sum(weights)
         weights = [w / total for w in weights]
     return None
+
+
+
+class NodeBudgetExhausted(Exception):
+    """``list_coloring_rescan`` tried more colors than its node budget."""
+
+
+def _clique_exceeds_lists(lists, conflicts):
+    """True when a greedy clique of pairwise conflicting vertices has more
+    members than the union of their lists.  The clique starts at the vertex
+    with the shortest list (ties: most conflicts, then lowest index) and
+    repeatedly adds the candidate that brings the fewest new colors (ties:
+    most conflicts within the remaining candidates, then lowest index)."""
+    if not lists:
+        return False
+    start = min(
+        range(len(lists)),
+        key=lambda v: (len(lists[v]), -conflicts[v].bit_count(), v),
+    )
+    colors = set(lists[start])
+    size = 1
+    candidates = conflicts[start]
+    while candidates and size <= len(colors):
+        best = None
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            rank = (
+                sum(1 for c in lists[w] if c not in colors),
+                -(conflicts[w] & candidates).bit_count(),
+                w,
+            )
+            if best is None or rank < best:
+                best = rank
+        w = best[2]
+        colors.update(lists[w])
+        size += 1
+        candidates &= conflicts[w]
+    return size > len(colors)
+
+
+def list_coloring_rescan(lists, conflicts, node_budget=None):
+    """The exact list coloring search as it was before saturation counts
+    were kept incrementally: at every node, ``select`` recounts the usable
+    colors of every uncolored vertex.  The reference for the package's
+    ``list_coloring``, which must return the same coloring (or None) after
+    the same number of nodes.
+
+    A greedy clique refutation first; then DSatur: the uncolored vertex
+    with the fewest usable colors, ties to the lowest index, the scan
+    stopping at the first vertex with at most one.  Colors listed by
+    exactly the same vertices are interchangeable, so of those that no
+    vertex uses yet only the lowest is tried; a vertex tries its usable
+    colors in list order; one node per color tried.  Raises
+    NodeBudgetExhausted past ``node_budget`` nodes.
+    """
+    n = len(lists)
+    if _clique_exceeds_lists(lists, conflicts):
+        return None
+    holders = {}
+    for v, colors in enumerate(lists):
+        for c in colors:
+            holders[c] = holders.get(c, 0) | (1 << v)
+    n_colors = max(holders, default=-1) + 1
+    classes = {}
+    for c in sorted(holders):
+        classes.setdefault(holders[c], []).append(c)
+    slot = [(0, 0)] * n_colors  # color -> (its class, its rank there)
+    for cl, colors in enumerate(classes.values()):
+        for rank, c in enumerate(colors):
+            slot[c] = (cl, rank)
+    opened = [0] * len(classes)
+    options_of = [tuple((c, *slot[c]) for c in colors) for colors in lists]
+    forbidden = [0] * n_colors  # vertices conflicting with a holder of c
+    members = [0] * n_colors
+    color_of = [-1] * n
+    free = (1 << n) - 1
+
+    def usable(v, bit):
+        out = []
+        for c, cl, rank in options_of[v]:
+            head = opened[cl]
+            if rank == head or (rank < head and not forbidden[c] & bit):
+                out.append(c)
+        return out
+
+    def select():
+        best_v, best_n = -1, n_colors + 1
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            count = 0
+            for c, cl, rank in options_of[v]:
+                head = opened[cl]
+                if rank == head or (rank < head and not forbidden[c] & bit):
+                    count += 1
+                    if count >= best_n:
+                        break
+            if count < best_n:
+                best_v, best_n = v, count
+                if count <= 1:
+                    break
+        if best_v < 0:
+            return None
+        return [best_v, usable(best_v, 1 << best_v), 0, 0]
+
+    nodes = 0
+    first = select()
+    if first is None:
+        return color_of
+    stack = [first]
+    while stack:
+        frame = stack[-1]
+        v, options, i, saved = frame
+        bit = 1 << v
+        c = color_of[v]
+        if c >= 0:
+            forbidden[c] = saved
+            members[c] -= 1
+            if not members[c]:
+                opened[slot[c][0]] -= 1
+            color_of[v] = -1
+            free |= bit
+        if i == len(options):
+            stack.pop()
+            continue
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise NodeBudgetExhausted(f"node budget {node_budget} exhausted")
+        c = options[i]
+        frame[2] = i + 1
+        frame[3] = forbidden[c]
+        forbidden[c] |= conflicts[v]
+        if not members[c]:
+            opened[slot[c][0]] += 1
+        members[c] += 1
+        color_of[v] = c
+        free ^= bit
+        step = select()
+        if step is None:
+            return color_of
+        stack.append(step)
+    return None

@@ -12,7 +12,7 @@ import pytest
 
 import conceptlab
 from conceptlab.cli import main, report_table
-from conceptlab.compression import SchemeReport
+from conceptlab.compression import SchemeReport, counting_bound
 from conceptlab.core import enumerate_realizable_samples, loads_class
 
 PKG_ROOT = str(Path(conceptlab.__file__).resolve().parent.parent)
@@ -603,3 +603,67 @@ class TestOversizedInputs:
         ])
         assert proc.returncode == 0, proc.stderr
         assert certs[30].read_text() == certs[b].read_text()
+
+
+def _loads_unlimited(text):
+    """JSON with ints of any length: the interpreter's int-to-string digit
+    limit (Python 3.11 on) is lifted while the text is parsed."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return json.loads(text)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestCountingBoundsPastTheDigitLimit:
+    """Counting bounds longer than the interpreter's int-to-string limit
+    (4300 digits by default) are printed in full with the exit-3 report;
+    the limit still holds for the input."""
+
+    @pytest.mark.parametrize(
+        "argv, field, expected",
+        [
+            (["pipeline", "--t", "4", "--k", "1", "--bits", "20000"],
+             "counting_ceiling", lambda b4: counting_bound(3, 2, 1, 20000)),
+            (["extract-disambiguation", "--class", "{b4}", "--k", "1",
+              "--bits", "20000"], "counting_bound",
+             lambda b4: counting_bound(
+                 len(b4.support_indices()), len(b4.labels_used()), 1, 20000
+             )),
+        ],
+        ids=["pipeline-bits20000", "extract-bits20000"],
+    )
+    def test_exit_3_prints_the_whole_bound(
+        self, tmp_path, argv, field, expected
+    ):
+        b4 = tmp_path / "b4.json"
+        run_cli("gen", "--family", "biclique", "--t", "4", "--out", str(b4))
+        proc = _run_limited([arg.format(b4=b4) for arg in argv])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        bound = expected(loads_class(b4.read_text(encoding="utf-8")))
+        assert bound > 10**4300
+        assert _loads_unlimited(proc.stdout)[field] == bound
+
+    def test_limit_is_restored_and_holds_for_input(self, tmp_path, capsys):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            pytest.skip("no int-to-string digit limit before Python 3.11")
+        limit = get_limit()
+        code = run_cli("pipeline", "--t", "4", "--k", "1", "--bits", "20000")
+        assert code == 3
+        assert get_limit() == limit
+        huge = tmp_path / "huge.json"
+        huge.write_text(
+            '{"domain_size": ' + "1" * (limit + 1)
+            + ', "kind": "total", "concepts": [[0]]}',
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert run_cli("dim", "--class", str(huge), "--kind", "vc") == 2
+        assert "usage error" in capsys.readouterr().err
+        assert get_limit() == limit

@@ -5,6 +5,8 @@ import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conceptlab import compression
@@ -24,6 +26,7 @@ from conceptlab.compression import (
     boosted_scheme,
     counting_bound,
     extract_disambiguation,
+    list_coloring,
     min_compression_certificate,
     min_compression_size,
     star_biclique_scheme,
@@ -229,6 +232,98 @@ class TestCountingBound:
         assert counting_bound(3, 3, 1, 1) >= base
         assert counting_bound(3, 2, 2, 1) >= base
         assert counting_bound(3, 2, 1, 2) >= base
+
+
+def fewest_nodes(search, exhausted, lists, conflicts):
+    """The smallest node budget under which ``search`` finishes, found by
+    doubling and then bisection."""
+    low, high = -1, 1
+    while True:
+        try:
+            search(lists, conflicts, node_budget=high)
+            break
+        except exhausted:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            search(lists, conflicts, node_budget=mid)
+            high = mid
+        except exhausted:
+            low = mid
+    return high
+
+
+def assert_same_search(lists, conflicts):
+    """``list_coloring`` returns what the rescanning oracle returns, and
+    runs out of nodes exactly where it does."""
+    expected = oracles.list_coloring_rescan(lists, conflicts)
+    assert list_coloring(lists, conflicts) == expected
+    nodes = fewest_nodes(
+        oracles.list_coloring_rescan, oracles.NodeBudgetExhausted, lists,
+        conflicts,
+    )
+    assert list_coloring(lists, conflicts, node_budget=nodes) == expected
+    if nodes:
+        with pytest.raises(BudgetError):
+            list_coloring(lists, conflicts, node_budget=nodes - 1)
+
+
+@st.composite
+def list_instances(draw):
+    """6 to 14 vertices over up to 6 colors, each list drawn from a few
+    shared ones so that interchangeable colors form classes, and conflicts
+    of a drawn density; fewer vertices seldom reach a node where a vertex
+    with one usable color precedes one with none."""
+    n = draw(st.integers(6, 14))
+    colors = st.sets(st.integers(0, 5), min_size=1, max_size=6).map(sorted)
+    shared = draw(st.lists(colors, min_size=1, max_size=4))
+    lists = [draw(st.sampled_from(shared)) for _ in range(n)]
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    density = draw(st.integers(1, 4))  # in fifths
+    edges = draw(
+        st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs))
+    )
+    conflicts = [0] * n
+    for (u, v), edge in zip(pairs, edges):
+        if edge < density:
+            conflicts[u] |= 1 << v
+            conflicts[v] |= 1 << u
+    return lists, conflicts
+
+
+class TestListColoring:
+    """The incremental saturation counts pick the vertex that the
+    rescanning oracle picks at every node."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(list_instances())
+    def test_matches_rescanning_oracle(self, instance):
+        assert_same_search(*instance)
+
+    @pytest.mark.parametrize(
+        "cls, m, bits",
+        [
+            (haussler_long_class(3, 2, 2), 3, 0),
+            (haussler_long_class(3, 2, 2), 4, 0),
+            (biclique_class(star_partition(5)), 4, 1),
+        ],
+        ids=["hl-3-2-2-m3", "hl-3-2-2-m4", "biclique-5-m4-bits1"],
+    )
+    def test_matches_rescanning_oracle_on_key_search_inputs(
+        self, monkeypatch, cls, m, bits
+    ):
+        calls = []
+
+        def recording(lists, conflicts, *, node_budget=None):
+            calls.append((lists, conflicts))
+            return list_coloring(lists, conflicts, node_budget=node_budget)
+
+        monkeypatch.setattr(compression, "list_coloring", recording)
+        min_compression_certificate(cls, m, bits)
+        assert calls
+        for lists, conflicts in calls:
+            assert_same_search(lists, conflicts)
 
 
 class TestMinCompressionSize:
