@@ -220,8 +220,8 @@ def _verify_compression(args: argparse.Namespace) -> int:
 
 
 def _min_compression(args: argparse.Namespace) -> int:
-    """Exit 3 from the node budget still prints the k-levels refuted so far
-    (``k`` and ``certificate_valid`` null)."""
+    """Exit 3 from the key-list or node budget still prints the k-levels
+    refuted so far (``k`` and ``certificate_valid`` null)."""
     cls = _load_class(args.class_file)
     payload = {"class": args.class_file, "m": args.m, "bit_budget": args.bits}
     try:

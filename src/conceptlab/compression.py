@@ -519,6 +519,9 @@ NODE_BUDGET = 1_000_000
 SAMPLE_BUDGET = 20_000
 """Most realizable samples ``min_compression_certificate`` searches over."""
 
+KEY_LIST_BUDGET = 5_000_000
+"""Most key ids ``_find_assignment`` lists over all samples of one k-level."""
+
 
 def _find_assignment(
     samples: Sequence[Sample],
@@ -537,7 +540,8 @@ def _find_assignment(
     of at most k entries, each with a bit string of at most ``bit_budget``
     bits) are its list, and samples that disagree conflict.
     ``list_coloring`` does the search; BudgetError after ``node_budget``
-    nodes.
+    nodes, or before any list is built when the lists would hold more than
+    ``KEY_LIST_BUDGET`` key ids.
     """
     # Keys that differ only in their bits are listed by exactly the same
     # samples, so list_coloring puts them in one interchangeable class.  It
@@ -551,10 +555,16 @@ def _find_assignment(
         for size in range(min(k, len(sample)) + 1):
             subs.update(itertools.combinations(sample.entries, size))
         subs_of.append(sorted(subs))
+    width = len(bitstrings)
+    listed = width * sum(map(len, subs_of))
+    if listed > KEY_LIST_BUDGET:
+        raise BudgetError(
+            f"key lists of {listed} ids exceed the key-list budget of "
+            f"{KEY_LIST_BUDGET}"
+        )
     # key id = sub-multiset rank * |bit strings| + bit string rank, so that
     # ascending ids are the candidate order (sub-multiset, then bits)
     sub_ids = {sub: i for i, sub in enumerate(sorted(set().union(*subs_of)))}
-    width = len(bitstrings)
     lists = [
         [sub_ids[sub] * width + j for sub in subs for j in range(width)]
         for subs in subs_of
@@ -625,9 +635,11 @@ def min_compression_certificate(
     sample of size m lists that key.
 
     Raises BudgetError when more than ``SAMPLE_BUDGET`` samples are
-    realizable, or when the search of one k-level tries more than
-    ``node_budget`` nodes; the latter names the levels already refuted, and
-    its ``report`` holds them as ``{"m", "bit_budget", "k", "refuted"}``.
+    realizable, or when one k-level would list more than
+    ``KEY_LIST_BUDGET`` key ids or its search tries more than
+    ``node_budget`` nodes; the latter two name the levels already refuted,
+    and their ``report`` holds them as ``{"m", "bit_budget", "k",
+    "refuted"}``.
     """
     if bit_budget < 0:
         raise ValueError(f"bit budget must be non-negative, got {bit_budget}")
@@ -644,10 +656,9 @@ def min_compression_certificate(
             assignment = _find_assignment(
                 samples, k, bit_budget, node_budget=node_budget
             )
-        except BudgetError:
+        except BudgetError as exc:
             raise BudgetError(
-                f"node budget {node_budget} exhausted at k={k}; refuted "
-                f"k-levels: {refuted}",
+                f"{exc} at k={k}; refuted k-levels: {refuted}",
                 report={
                     "m": m,
                     "bit_budget": bit_budget,

@@ -39,6 +39,24 @@ exactly on each mask as ANDs of ``by[i][anchor[i]]`` and its complement.
 Every restriction is read by ``ConceptClass.project`` from columns the class
 computes once.
 
+``dimension`` skips every point that no shattered set of the level can
+use.  The shared-label score of point j is the largest, over labels y, of
+min(#concepts labelled y at j, #concepts with another defined label at j).
+If S is shattered and |S| = d, every j in S scores at least 2^(d-1), for
+each kind, because distinct restrictions come from distinct concepts:
+
+* DS: split the neighbor-closed set by its label at j.  Every i-neighbor
+  for i != j stays in its fibre, so each nonempty fibre is closed on the
+  other d - 1 coordinates and holds at least 2^(d-1) patterns (the count
+  in ``ds_shatters``); every pattern has a j-neighbor, so there are at
+  least two fibres.  Take y the label of one fibre.
+* VC: 2^(d-1) realized patterns have 0 at j and 2^(d-1) have 1.
+* Natarajan: 2^(d-1) mixtures take f1[j] at j and 2^(d-1) take f2[j] !=
+  f1[j].
+* graph: the realizers of the masks containing j agree with the anchor at
+  j, 2^(d-1) of them; the other 2^(d-1) disagree with it there, with a
+  defined label, since the class is total.
+
 ``dimension`` tries at most ``SUBSET_BUDGET`` subsets, then raises
 BudgetError with the lower bound completed so far and its witness.
 """
@@ -281,11 +299,7 @@ def vc_shatters(
 ) -> Optional[ShatterWitness]:
     """All 2^d binary patterns realized with full support on the indices."""
     indices = _checked_indices(cls, indices)
-    labels = set(cls.labels_used())
-    if not labels <= {0, 1}:
-        raise ValueError(
-            f"VC shattering needs labels within {{0, 1}}, class uses {sorted(labels)}"
-        )
+    _require_binary(cls)
     realized = _full_support_patterns(cls, indices)
     want = set(itertools.product((0, 1), repeat=len(indices)))
     if not want <= realized:
@@ -293,6 +307,14 @@ def vc_shatters(
     return ShatterWitness(
         kind=ShatterKind.VC, indices=indices, patterns=tuple(sorted(want))
     )
+
+
+def _require_binary(cls: ConceptClass) -> None:
+    labels = set(cls.labels_used())
+    if not labels <= {0, 1}:
+        raise ValueError(
+            f"VC shattering needs labels within {{0, 1}}, class uses {sorted(labels)}"
+        )
 
 
 def _require_total(cls: ConceptClass, what: str) -> None:
@@ -437,6 +459,31 @@ SUBSET_BUDGET = 1_000_000
 """Most index subsets ``dimension`` tries in one search."""
 
 
+def _shared_label_scores(cls: ConceptClass) -> list[int]:
+    """``score[j]``: the largest, over labels y, of the smaller of the
+    number of concepts labelled y at point j and the number with another
+    defined label there (0 at a point with fewer than two defined labels).
+    Read from ``cls.holders``; the concepts are distinct, so the holders of
+    one point are disjoint and their sizes sum to the concepts defined there.
+    """
+    sizes: list[list[int]] = [[] for _ in range(cls.domain_size)]
+    for (j, _), bits in cls.holders.items():
+        sizes[j].append(bits.bit_count())
+    return [max((min(c, sum(cs) - c) for c in cs), default=0) for cs in sizes]
+
+
+def _check_kind_applies(cls: ConceptClass, kind: ShatterKind) -> None:
+    """The ValueError every call of the kind's checker raises on this class,
+    whatever the indices: VC needs labels within {0, 1}, Natarajan and
+    graph a total class."""
+    if kind is ShatterKind.VC:
+        _require_binary(cls)
+    elif kind is ShatterKind.NATARAJAN:
+        _require_total(cls, "Natarajan shattering")
+    elif kind is ShatterKind.GRAPH:
+        _require_total(cls, "graph shattering")
+
+
 def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
     """Largest d such that some size-d index subset is shattered.
 
@@ -445,18 +492,36 @@ def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
     the first empty level, which is sound because shattering is
     subset-monotone.
 
-    Raises BudgetError before trying subset number ``SUBSET_BUDGET + 1``.
-    Its ``report`` holds ``kind``, ``lower_bound`` (the best completed
-    result, a DimensionResult) and ``level`` (the d being scanned).
+    Level d scans, in lexicographic order, only the subsets of the points
+    whose ``_shared_label_scores`` reach 2^(d-1): every point of a shattered
+    S of size d does, for each kind (proof in the module docstring).  A
+    skipped subset is never shattered, so the first shattered subset of
+    each level, hence every dimension and witness, is that of the scan over
+    all subsets.  A level with fewer than d such points is empty.  Since a
+    score is at most half the concepts, no level past log2 of the class
+    size is scanned.
+
+    On a nonempty class with at least one point, raises before any search
+    the ValueError that every call of the kind's checker raises: VC on
+    labels outside {0, 1}, Natarajan and graph on a partial class.
+
+    Raises BudgetError before trying subset number ``SUBSET_BUDGET + 1``;
+    a subset the bound skips is not tried.  Its ``report`` holds ``kind``,
+    ``lower_bound`` (the best completed result, a DimensionResult) and
+    ``level`` (the d being scanned).
     """
     kind = ShatterKind(kind)
     if cls.n_concepts == 0:
         return DimensionResult(value=-1, witness=None)
+    if cls.domain_size:
+        _check_kind_applies(cls, kind)
     check = _CHECKERS[kind]
+    score = _shared_label_scores(cls)
     best = DimensionResult(value=0, witness=None)
     tried = 0
     for d in range(1, cls.domain_size + 1):
-        for combo in itertools.combinations(range(cls.domain_size), d):
+        points = [j for j, s in enumerate(score) if s >= 1 << (d - 1)]
+        for combo in itertools.combinations(points, d):
             if tried == SUBSET_BUDGET:
                 raise BudgetError(
                     f"subset budget {SUBSET_BUDGET} exhausted at d={d}; "

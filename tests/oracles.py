@@ -223,6 +223,18 @@ def g_first_witness(concepts, indices):
     return None
 
 
+def shared_label_score(concepts, j):
+    """The largest, over the labels y defined at point j, of the smaller of
+    the number of concepts labelled y at j and the number labelled with
+    another defined label there; 0 when no label is defined at j."""
+    best = 0
+    for y in {c[j] for c in concepts if c[j] != STAR}:
+        same = sum(1 for c in concepts if c[j] == y)
+        other = sum(1 for c in concepts if c[j] != STAR and c[j] != y)
+        best = max(best, min(same, other))
+    return best
+
+
 def naive_dimension(concepts, n, shattered) -> int:
     """Largest d with some shattered size-d subset, by scanning everything."""
     if not concepts:

@@ -13,7 +13,13 @@ import pytest
 import conceptlab
 from conceptlab.cli import main, report_table
 from conceptlab.compression import SchemeReport, counting_bound
-from conceptlab.core import enumerate_realizable_samples, loads_class
+from conceptlab.core import (
+    ClassKind,
+    ConceptClass,
+    dumps_class,
+    enumerate_realizable_samples,
+    loads_class,
+)
 
 PKG_ROOT = str(Path(conceptlab.__file__).resolve().parent.parent)
 SUBPROCESS_ENV = dict(
@@ -93,6 +99,36 @@ class TestDim:
             == 0
         )
         assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+    @pytest.mark.parametrize(
+        "shatter_kind, domain_size, kind, concepts, code, message",
+        [
+            ("natarajan", 2, "partial", [["*", "*"]], 2,
+             "Natarajan shattering is defined for total classes only"),
+            ("graph", 2, "partial", [[0, 1]], 2,
+             "graph shattering is defined for total classes only"),
+            ("vc", 2, "total", [[0, 2]], 2,
+             "VC shattering needs labels within {0, 1}, class uses [0, 2]"),
+            ("graph", 0, "partial", [[]], 0, None),
+        ],
+        ids=["natarajan-all-star", "graph-one-concept", "vc-label-2",
+             "graph-zero-points"],
+    )
+    def test_kind_that_does_not_apply(
+        self, tmp_path, capsys, shatter_kind, domain_size, kind, concepts,
+        code, message,
+    ):
+        # classes whose every subset the shared-label bound skips still get
+        # the exit code and message of the kind's checker
+        path = tmp_path / "cls.json"
+        doc = {"domain_size": domain_size, "kind": kind, "concepts": concepts}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("dim", "--class", str(path), "--kind", shatter_kind) == code
+        captured = capsys.readouterr()
+        if message is None:
+            assert json.loads(captured.out)["dimension"] == 0
+        else:
+            assert captured.err == f"usage error: {message}\n"
 
     def test_witness_serialization_fields(self, pairs_file, capsys):
         run_cli("dim", "--class", str(pairs_file), "--kind", "ds")
@@ -568,6 +604,27 @@ class TestOversizedInputs:
         else:
             data = json.loads(proc.stdout)
             assert {name: data[name] for name in fields} == fields
+
+    def test_min_compression_past_the_key_list_budget(self, tmp_path):
+        # one concept over 6,000 points at m = 1: 6,000 samples, each
+        # listing 6,000 bit strings at k = 0, far past the key-list budget
+        cls_file = tmp_path / "one.json"
+        cls_file.write_text(
+            dumps_class(ConceptClass(6000, ((0,) * 6000,), ClassKind.TOTAL)),
+            encoding="utf-8",
+        )
+        proc = _run_limited([
+            "min-compression", "--class", str(cls_file), "--m", "1",
+            "--bits", "14",
+        ])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "key-list budget" in proc.stderr
+        assert "node budget" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert (data["k"], data["budget_exhausted_at_k"], data["refuted"]) == (
+            None, 0, [],
+        )
 
     @pytest.mark.parametrize(
         "family, m",

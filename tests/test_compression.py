@@ -415,6 +415,22 @@ class TestMinCompressionSize:
             "m": 4, "bit_budget": 0, "k": 1, "refuted": [0],
         }
 
+    def test_key_list_budget_names_refuted_levels(self, monkeypatch):
+        # k = 0 lists 63 key ids and is refuted; k = 1 would list 204
+        monkeypatch.setattr(compression, "KEY_LIST_BUDGET", 100)
+        cls = haussler_long_class(3, 2, 2)
+        with pytest.raises(BudgetError) as info:
+            min_compression_certificate(cls, 4, 0)
+        message = str(info.value)
+        assert message == (
+            "key lists of 204 ids exceed the key-list budget of 100 at k=1; "
+            "refuted k-levels: [0]"
+        )
+        assert "node budget" not in message
+        assert info.value.report == {
+            "m": 4, "bit_budget": 0, "k": 1, "refuted": [0],
+        }
+
     def test_feasibility_agrees_with_bruteforce_oracle(self):
         # every level k <= m of small seeded partial classes: the search
         # admits a key assignment exactly when the definition-literal

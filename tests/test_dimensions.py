@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from conceptlab import _kernels
+from conceptlab import _kernels, dimensions
 from conceptlab.core import STAR, ClassKind, ConceptClass
 from conceptlab.constructions import (
     biclique_class,
@@ -400,6 +400,203 @@ class TestDimension:
                 result = dimension(cls, kind)
                 if result.witness is not None:
                     assert result.witness.verify(cls)
+
+
+class TestSharedLabelBound:
+    """Every point of a shattered S of size d has a shared-label score of at
+    least 2^(d-1), and ``dimension``, which scans only the subsets of such
+    points, answers exactly as the scan over every subset."""
+
+    ORACLES = {
+        ShatterKind.VC: oracles.vc_shattered,
+        ShatterKind.DS: oracles.ds_shattered,
+        ShatterKind.NATARAJAN: oracles.n_shattered,
+        ShatterKind.GRAPH: oracles.g_shattered,
+    }
+    CHECKERS = {ShatterKind.VC: vc_shatters, ShatterKind.DS: ds_shatters}
+
+    @staticmethod
+    def cases():
+        """(class, kind) for seeded random partial and total classes over 1-4
+        points, up to 9 concepts and 2-3 labels, with every kind defined
+        on the class."""
+        rng = random.Random(73)
+        for _ in range(1000):
+            n, size, labels = rng.randint(1, 4), rng.randint(1, 9), rng.randint(2, 3)
+            if rng.random() < 0.5:
+                cls = random_total_class(rng, n, size, labels)
+            else:
+                cls = random_partial_class(rng, n, size, labels)
+            kinds = [ShatterKind.DS]
+            if cls.kind is ClassKind.TOTAL:
+                kinds += [ShatterKind.NATARAJAN, ShatterKind.GRAPH]
+            if set(cls.labels_used()) <= {0, 1}:
+                kinds.append(ShatterKind.VC)
+            for kind in kinds:
+                yield cls, kind
+
+    def test_package_scores_match_the_oracle(self):
+        for cls, _ in self.cases():
+            want = [
+                oracles.shared_label_score(cls.concepts, j)
+                for j in range(cls.domain_size)
+            ]
+            assert dimensions._shared_label_scores(cls) == want, cls
+
+    def test_shattered_sets_meet_the_bound(self):
+        cases = tight = 0
+        for cls, kind in self.cases():
+            score = [
+                oracles.shared_label_score(cls.concepts, j)
+                for j in range(cls.domain_size)
+            ]
+            for d in range(1, cls.domain_size + 1):
+                for combo in itertools.combinations(range(cls.domain_size), d):
+                    if not self.ORACLES[kind](cls.concepts, combo):
+                        continue
+                    floor = min(score[j] for j in combo)
+                    assert floor >= 2 ** (d - 1), (cls, kind, combo)
+                    cases += 1
+                    tight += floor == 2 ** (d - 1)
+        assert cases > 5000 and tight >= 1000
+
+    def test_search_matches_the_unpruned_scan(self):
+        pruned = set()
+        for cls, kind in self.cases():
+            n = cls.domain_size
+            shattered = self.ORACLES[kind]
+            score = [oracles.shared_label_score(cls.concepts, j) for j in range(n)]
+            # the first shattered subset of each level of the unpruned scan,
+            # noting the subsets before it that the bound rules out
+            first = None
+            for d in range(1, n + 1):
+                level_first = None
+                for combo in itertools.combinations(range(n), d):
+                    if shattered(cls.concepts, combo):
+                        level_first = combo
+                        break
+                    if min(score[j] for j in combo) < 2 ** (d - 1):
+                        pruned.add(cls)
+                if level_first is None:
+                    break
+                first = level_first
+            result = dimension(cls, kind)
+            assert result.value == oracles.naive_dimension(
+                cls.concepts, n, shattered
+            ), (cls, kind)
+            if first is None:
+                assert result.witness is None
+                continue
+            assert result.witness.indices == first, (cls, kind)
+            if kind is ShatterKind.NATARAJAN:
+                want = oracles.n_first_witness(cls.concepts, first)
+                got = (result.witness.pair, result.witness.realizers)
+            elif kind is ShatterKind.GRAPH:
+                want = oracles.g_first_witness(cls.concepts, first)
+                got = (result.witness.anchor, result.witness.realizers)
+            else:
+                want, got = self.CHECKERS[kind](cls, first), result.witness
+            assert got == want, (cls, kind)
+        assert len(pruned) >= 500
+
+    def test_checker_sees_exactly_the_kept_subsets(self, monkeypatch):
+        calls = []
+        for kind, check in list(dimensions._CHECKERS.items()):
+
+            def counting(cls, indices, check=check):
+                calls.append(indices)
+                return check(cls, indices)
+
+            monkeypatch.setitem(dimensions._CHECKERS, kind, counting)
+        for cls, kind in self.cases():
+            n = cls.domain_size
+            score = [oracles.shared_label_score(cls.concepts, j) for j in range(n)]
+            want = []
+            for d in range(1, n + 1):
+                kept = [
+                    combo
+                    for combo in itertools.combinations(range(n), d)
+                    if min(score[j] for j in combo) >= 2 ** (d - 1)
+                ]
+                hit = next(
+                    (
+                        pos
+                        for pos, combo in enumerate(kept)
+                        if self.ORACLES[kind](cls.concepts, combo)
+                    ),
+                    None,
+                )
+                if hit is None:
+                    want += kept
+                    break
+                want += kept[: hit + 1]
+            calls.clear()
+            dimension(cls, kind)
+            assert calls == want, (cls, kind)
+
+    @pytest.mark.parametrize("kind", [ShatterKind.DS, ShatterKind.NATARAJAN])
+    def test_disjoint_pairs_make_one_checker_call(self, monkeypatch, kind):
+        # no label is shared, so every point scores 1: level 1 meets a
+        # shattered (0,) at once and level 2 has no candidate point
+        calls = []
+        check = dimensions._CHECKERS[kind]
+
+        def counting(cls, indices):
+            calls.append(indices)
+            return check(cls, indices)
+
+        monkeypatch.setitem(dimensions._CHECKERS, kind, counting)
+        result = dimension(disjoint_pairs_family(6), kind)
+        assert (result.value, calls) == (1, [(0,)])
+
+
+class TestDimensionErrors:
+    """``dimension`` raises what the first checker call raised before the
+    bound could skip that call: the same type and message."""
+
+    NATARAJAN = "Natarajan shattering is defined for total classes only"
+    GRAPH = "graph shattering is defined for total classes only"
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            pclass((0, 1), (1, 0)),
+            pclass((0, 1)),
+            pclass((STAR, STAR)),
+            pclass((0, STAR), (STAR, 1)),
+        ],
+        ids=["shattering", "one-concept", "all-star", "no-shared-label"],
+    )
+    def test_partial_classes(self, cls):
+        with pytest.raises(ValueError) as info:
+            dimension(cls, ShatterKind.NATARAJAN)
+        assert str(info.value) == self.NATARAJAN
+        with pytest.raises(ValueError) as info:
+            dimension(cls, ShatterKind.GRAPH)
+        assert str(info.value) == self.GRAPH
+
+    @pytest.mark.parametrize(
+        "cls, labels",
+        [
+            (tclass((0, 2)), [0, 2]),
+            (tclass((0, 2), (1, 2)), [0, 1, 2]),
+            (pclass((STAR, 3)), [3]),
+        ],
+        ids=["one-concept", "constant-point", "partial"],
+    )
+    def test_vc_labels_outside_binary(self, cls, labels):
+        with pytest.raises(ValueError) as info:
+            dimension(cls, ShatterKind.VC)
+        assert str(info.value) == (
+            f"VC shattering needs labels within {{0, 1}}, class uses {labels}"
+        )
+
+    @pytest.mark.parametrize("kind", list(ShatterKind))
+    def test_zero_points_and_no_concepts(self, kind):
+        zero_points = ConceptClass(0, ((),), ClassKind.PARTIAL)
+        assert dimension(zero_points, kind) == dimensions.DimensionResult(0, None)
+        empty = ConceptClass(2, (), ClassKind.PARTIAL)
+        assert dimension(empty, kind) == dimensions.DimensionResult(-1, None)
 
 
 class TestDualDimension:
