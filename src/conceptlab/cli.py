@@ -122,7 +122,7 @@ def _gen(args: argparse.Namespace) -> int:
         cls = graph_dim_blowup_example()[0]
     elif family == "gdim-blowup-total":
         cls = graph_dim_blowup_example()[1]
-    elif family == "random":
+    else:  # random, the last of the parser's choices
         if None in (args.points, args.concepts, args.labels):
             raise ValueError(
                 "--family random requires --points, --concepts, --labels"
@@ -134,8 +134,6 @@ def _gen(args: argparse.Namespace) -> int:
             )
         else:
             cls = random_total_class(rng, args.points, args.concepts, args.labels)
-    else:
-        raise ValueError(f"unknown family {family!r}")
     if args.disambiguate:
         cls = unique_label_disambiguation(cls)
     _emit(dumps_class(cls), args.out)
@@ -252,7 +250,7 @@ def _extract_disambiguation(args: argparse.Namespace) -> int:
     """Exit 3 from the key budget still prints the summary (``size``
     null)."""
     cls = _load_class(args.class_file)
-    scheme = _make_scheme(args.scheme, cls, args.subsample_size)
+    scheme = _make_scheme(args.scheme, cls, None)
     extracted = cut = None
     try:
         extracted = extract_disambiguation(cls, scheme, args.k, args.bits)
@@ -412,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--scheme", default="star")
     ex.add_argument("--k", type=int, required=True)
     ex.add_argument("--bits", type=int, required=True)
-    ex.add_argument("--subsample-size", type=int, dest="subsample_size")
     ex.add_argument("--class-out", dest="class_out")
     ex.add_argument("--out")
     ex.set_defaults(run=_extract_disambiguation)

@@ -95,15 +95,20 @@ class SchemeReport:
         }
 
 
+def _is_concept(concept: Sequence[object], domain_size: int) -> bool:
+    """True when the concept is total over the domain: one non-negative int
+    label per point."""
+    return len(concept) == domain_size and all(map(is_nonnegative_int, concept))
+
+
 def _check_reconstruction(
     scheme: CompressionScheme,
     key: CompressionKey,
     concept: Sequence[int],
     domain_size: int,
 ) -> None:
-    """ContractViolationError unless the concept is total over the domain:
-    one non-negative int label per point."""
-    if len(concept) != domain_size or not all(map(is_nonnegative_int, concept)):
+    """ContractViolationError unless the concept is total over the domain."""
+    if not _is_concept(concept, domain_size):
         raise ContractViolationError(
             f"scheme {scheme.name!r} reconstructed an invalid concept "
             f"{concept} for key {key}"
@@ -132,18 +137,10 @@ def verify_scheme(
     k_of_m = 0
     checked = 0
     total_concepts: set[tuple[int, ...]] = set()
+    valid: Optional[bool] = None
     for sample in enumerate_realizable_samples(cls, m):
         if sample_budget is not None and checked >= sample_budget:
-            raise BudgetError(
-                f"sample budget {sample_budget} exhausted at size {m}",
-                report=SchemeReport(
-                    valid=None,
-                    m=m,
-                    k_of_m=k_of_m,
-                    failures=tuple(failures),
-                    samples_checked=checked,
-                ),
-            )
+            break
         checked += 1
         key = compress(sample)
         entries = sample.entries
@@ -170,13 +167,20 @@ def verify_scheme(
             if concept[i] != y:
                 failures.append((sample, i))
                 break
-    return SchemeReport(
-        valid=not failures,
+    else:
+        valid = not failures
+    report = SchemeReport(
+        valid=valid,
         m=m,
         k_of_m=k_of_m,
         failures=tuple(failures),
         samples_checked=checked,
     )
+    if valid is None:
+        raise BudgetError(
+            f"sample budget {sample_budget} exhausted at size {m}", report=report
+        )
+    return report
 
 
 def counting_bound(m: int, c: int, k: int, bit_budget: int) -> int:
@@ -195,6 +199,14 @@ def _bitstrings(bit_budget: int) -> Iterator[str]:
     for length in range(bit_budget + 1):
         for bits in itertools.product("01", repeat=length):
             yield "".join(bits)
+
+
+def _sub_multisets(entries: tuple[tuple[int, int], ...], size_cap: int):
+    """The distinct nonempty sub-multisets of the sorted entries with at
+    most ``size_cap`` entries: increasing size, lexicographic within."""
+    for size in range(1, size_cap + 1):
+        # repeated entries repeat combinations; keep the first of each
+        yield from dict.fromkeys(itertools.combinations(entries, size))
 
 
 # --- lookup-table schemes ----------------------------------------------------
@@ -296,11 +308,7 @@ def _key_from_json(raw_sub: object, bits: object) -> CompressionKey:
 
 
 def _concept_from_json(raw: object, domain_size: int) -> tuple[int, ...]:
-    if (
-        not isinstance(raw, list)
-        or len(raw) != domain_size
-        or not all(map(is_nonnegative_int, raw))
-    ):
+    if not isinstance(raw, list) or not _is_concept(raw, domain_size):
         raise ValueError(
             f"concept must be an array of {domain_size} non-negative integer "
             f"labels, got {raw!r}"
@@ -549,12 +557,7 @@ def _find_assignment(
     # than there are samples, so no bit string past the first len(samples)
     # is ever tried: listing only those changes no coloring it finds.
     bitstrings = list(itertools.islice(_bitstrings(bit_budget), len(samples)))
-    subs_of = []
-    for sample in samples:
-        subs = set()
-        for size in range(min(k, len(sample)) + 1):
-            subs.update(itertools.combinations(sample.entries, size))
-        subs_of.append(sorted(subs))
+    subs_of = [sorted([(), *_sub_multisets(s.entries, k)]) for s in samples]
     width = len(bitstrings)
     listed = width * sum(map(len, subs_of))
     if listed > KEY_LIST_BUDGET:
@@ -729,8 +732,7 @@ def extract_disambiguation(
             enumerate_realizable_samples(cls, size) for size in range(1, k + 1)
         ),
     )
-    concepts: list[tuple[int, ...]] = []
-    seen = set()
+    concepts: dict[tuple[int, ...], None] = {}  # distinct, in probe order
     probed = 0
     for subsample in subsamples:
         for bits in _bitstrings(bit_budget):
@@ -741,10 +743,9 @@ def extract_disambiguation(
             probed += 1
             key = CompressionKey(subsample, bits)
             concept = scheme.reconstruct(key)
-            if concept not in seen:
+            if tuple(concept) not in concepts:
                 _check_reconstruction(scheme, key, concept, cls.domain_size)
-                seen.add(concept)
-                concepts.append(tuple(concept))
+                concepts[tuple(concept)] = None
     extracted = ConceptClass(
         domain_size=cls.domain_size,
         concepts=tuple(concepts),
@@ -803,16 +804,6 @@ def _erm_index(cls: ConceptClass, entries: Sequence[tuple[int, int]]) -> int:
     if not live:
         raise RealizabilityError(f"no concept is consistent with {tuple(entries)}")
     return (live & -live).bit_length() - 1
-
-
-def _weak_blocks(entries: tuple[tuple[int, int], ...], size_cap: int):
-    """Candidate sub-multisets: increasing size, lexicographic within."""
-    seen = set()
-    for size in range(1, size_cap + 1):
-        for combo in itertools.combinations(entries, size):
-            if combo not in seen:
-                seen.add(combo)
-                yield combo
 
 
 def boosted_scheme(
@@ -896,7 +887,7 @@ def boosted_scheme(
         padded: list[tuple[int, int]] = []
         for rounds in range(1, round_cap + 1):
             total = sum(weights)
-            for block in _weak_blocks(entries, subsample_size):
+            for block in _sub_multisets(entries, subsample_size):
                 concept = cls.concepts[erm(block)]
                 error = sum(
                     w for w, (i, y) in zip(weights, entries) if concept[i] != y

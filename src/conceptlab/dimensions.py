@@ -206,12 +206,8 @@ def _checked_indices(cls: ConceptClass, indices: Sequence[int]) -> tuple[int, ..
     out = tuple(indices)
     if not out:
         raise ValueError("index sequence must be nonempty")
-    # Exact ints in range pass inline; anything else (int subclasses, bad
-    # values) takes the method, which accepts it or names what is wrong.
-    n = cls.domain_size
     for i in out:
-        if type(i) is not int or not 0 <= i < n:
-            cls.check_index(i)
+        cls.check_index(i)
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate indices in {out}")
     return out

@@ -1,6 +1,7 @@
 """CLI surface: generators, reports, exit codes, and byte-level
 reproducibility."""
 
+import hashlib
 import json
 import os
 import resource
@@ -32,6 +33,10 @@ SUBPROCESS_ENV = dict(
 
 def run_cli(*args):
     return main(list(args))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestGen:
@@ -78,6 +83,130 @@ class TestGen:
         first = capsys.readouterr().out
         assert run_cli(*args) == 0
         assert capsys.readouterr().out == first
+
+
+class TestStarProbability:
+    @pytest.mark.parametrize("p", ["2", "-0.5", "nan"])
+    def test_outside_the_unit_interval_is_a_usage_error(self, p, capsys):
+        code = run_cli(
+            "gen", "--family", "random", "--partial", "--points", "3",
+            "--concepts", "4", "--labels", "2", "--star-prob", p,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage error: star probability must be in [0, 1]"
+        )
+
+
+class TestPinnedBytes:
+    """SHA-256 digests of whole outputs: the seeded generators, the key
+    search's certificates and the dimension reports keep every byte.  Runs
+    use relative file names in a scratch directory, so the echoed class path
+    is part of the pinned bytes."""
+
+    RANDOM_GEN = {
+        (0, False): "a4e2de8b76e54833086c0eda118813e50b56d60f9eed6d8386dde3ba05d2cd82",
+        (0, True): "74ec45eabf3eff660bfe0a1727796a8aaa7b00c2f3528332f627b1d47145bee0",
+        (1, False): "9b07265f035f796566694872789a575ed8eb529bee8e3253f95ec0a76a437d15",
+        (1, True): "dba4a0d78d829daedebac84014b9ee5dad5efa0dc236a32575233df63b4e9c2b",
+        (2, False): "1cd411535e929a86675b9746dcf1097efd3a048b8149c4a49b226bb2e7c5b943",
+        (2, True): "410b30d8612c05977c486c6fca5d505a40a055891475bb401aba412c8c8d5516",
+        (3, False): "519985d92300d7bea383b3fdb93b864687272734c3ee79f90f9bb6a562ea6823",
+        (3, True): "28af4f96f7f6e2c53d9a150c7209c15cb589f9e25efbddb8e06b535485879887",
+    }
+
+    # (class file, --bits): (stdout digest, certificate digest), at m = 3
+    MIN_COMPRESSION = {
+        ("hl.json", 0): (
+            "8cca55726a45c1485f20fad5127544898cc64635706491ad8d77d836b5402b0d",
+            "ef320a91439603d9cc01f51eb5c2cb92b042237faffe08a4fcda8bca9e1f063d",
+        ),
+        ("hl.json", 1): (
+            "68f1c9290493538dd1a5a1d993ea04ac5ee80ed2e7ad2b4ecf4cd1138d794ef3",
+            "840a0c670bf43a5dd06ceddd3a6bd848d1915de9753228ba2da7b214889141d3",
+        ),
+        ("b5.json", 0): (
+            "03a2ebd51ff5f042114d8673afb2966ccff0784d0f84e03d6407e3d1c2213b4d",
+            "bb71d4a237a7c3b8c219e6edfd5274941ba02bedd2577e47312639b91dbf466f",
+        ),
+        ("b5.json", 1): (
+            "babfefb30981b66b425adaea5cb272d86dc5eaf72da7eb27131259b40968eab2",
+            "bc790fb73ac2864c17edc59290b1ab22687f08e2a8586f38023c59ef1a61c0c1",
+        ),
+    }
+
+    # (class file, --kind): (stdout digest, dimension)
+    DIM = {
+        ("hl.json", "vc"): (
+            "b70dc7689040fb909bb34f23cc8809e07cdf72adf0573ddfddecb0f55b01ba38", 2
+        ),
+        ("hl.json", "natarajan"): (
+            "3a6a6deafb95852f2c06fdc4e7c425b57829b433aeaa8154b80ebeef74121795", 2
+        ),
+        ("hl.json", "graph"): (
+            "6a83b29b16bd4fe69afb245d5a3aabd1f74273c6bb3ad66b9a49ddf1b493ecd7", 2
+        ),
+        ("gb.json", "natarajan"): (
+            "ecaf889225225d3830df95e8d1934e9c7ef6c5cff46779c7ebaf66310bb7da44", 1
+        ),
+        ("gb.json", "graph"): (
+            "a0bf9eb93430638504889bd90e232baf4fc0f487877b7628f55c050fee5cdd41", 3
+        ),
+    }
+
+    @pytest.fixture()
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            ["--family", "haussler-long", "--points", "3", "--labels", "2",
+             "--max-nonzero", "2", "--out", "hl.json"],
+            ["--family", "biclique", "--t", "5", "--out", "b5.json"],
+            ["--family", "gdim-blowup-total", "--out", "gb.json"],
+        ):
+            assert run_cli("gen", *argv) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("seed, partial", sorted(RANDOM_GEN))
+    def test_random_classes(self, seed, partial, capsys):
+        argv = [
+            "gen", "--family", "random", "--points", "4", "--concepts", "6",
+            "--labels", "3", "--seed", str(seed),
+        ]
+        assert run_cli(*argv, *(["--partial"] if partial else [])) == 0
+        assert sha256(capsys.readouterr().out) == self.RANDOM_GEN[seed, partial]
+
+    @pytest.mark.parametrize("name, bits", sorted(MIN_COMPRESSION))
+    def test_min_compression_certificates(self, workdir, name, bits, capsys):
+        code = run_cli(
+            "min-compression", "--class", name, "--m", "3", "--bits", str(bits),
+            "--certificate", "cert.json",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["certificate_valid"] is True
+        certificate = (workdir / "cert.json").read_text(encoding="utf-8")
+        assert (sha256(out), sha256(certificate)) == self.MIN_COMPRESSION[name, bits]
+
+    @pytest.mark.parametrize("name, kind", sorted(DIM))
+    def test_dimension_reports_with_verified_witnesses(
+        self, workdir, name, kind, capsys
+    ):
+        assert run_cli("dim", "--class", name, "--kind", kind) == 0
+        out = capsys.readouterr().out
+        data = json.loads(out)
+        assert data["witness"]["kind"] == kind
+        assert data["witness_verified"] is True
+        assert (sha256(out), data["dimension"]) == self.DIM[name, kind]
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 6])
+    def test_pipeline_star_scheme_matches_the_builtin(self, t, capsys):
+        argv = ["pipeline", "--t", str(t), "--k", "1", "--bits", "1"]
+        assert run_cli(*argv) == 0
+        builtin = capsys.readouterr().out
+        assert run_cli(*argv, "--scheme", "star") == 0
+        assert capsys.readouterr().out == builtin
 
 
 class TestDim:
@@ -186,6 +315,17 @@ class TestCompressionCommands:
         assert data["k"] == 1
         assert data["certificate_valid"] is True
         assert cert.exists()
+
+    def test_extraction_takes_no_subsample_size(self, hl_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "extract-disambiguation", "--class", str(hl_file), "--k", "1",
+                "--bits", "0", "--subsample-size", "1",
+            )
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --subsample-size 1" in captured.err
 
     def test_table_scheme_file_roundtrip(self, hl_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"

@@ -503,6 +503,16 @@ class TestExtractDisambiguation:
                 for sample in enumerate_realizable_samples(cls, m):
                     assert is_realizable(out, sample)
 
+    def test_reconstruction_returned_as_a_list_extracts_like_a_tuple(self):
+        cls = biclique_class(star_partition(3))
+        tuples = star_biclique_scheme(3)
+        listed = CompressionScheme(
+            "listed", tuples.compress, lambda key: list(tuples.reconstruct(key))
+        )
+        want = extract_disambiguation(cls, tuples, 1, 1)
+        assert want.n_concepts == 3
+        assert extract_disambiguation(cls, listed, 1, 1) == want
+
     def test_size_never_exceeds_counting_bound(self):
         for t in (3, 4):
             cls = biclique_class(star_partition(t))

@@ -321,6 +321,22 @@ class TestUnionDisjoint:
             union_disjoint([])
 
 
+class TestRandomClasses:
+    @pytest.mark.parametrize(
+        "p", [-0.1, 1.5, 2.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_star_probability_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match="star probability"):
+            random_partial_class(random.Random(0), 3, 4, 2, star_probability=p)
+
+    def test_star_probability_endpoints(self):
+        every = random_partial_class(random.Random(0), 3, 4, 2, star_probability=1)
+        assert every.concepts == ((STAR,) * 3,)
+        none = random_partial_class(random.Random(0), 3, 4, 2, star_probability=0)
+        assert none.n_concepts == 4
+        assert not any(STAR in concept for concept in none.concepts)
+
+
 class TestWireFormat:
     def test_star_encoding_roundtrip(self):
         cls = pclass((1, STAR), (0, 2))

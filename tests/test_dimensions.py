@@ -167,6 +167,61 @@ class TestWitnessVerify:
             assert replaced.verify(self.CUBE) is False
 
 
+    def test_vc_witness_verifies_by_its_patterns(self):
+        vc = vc_shatters(self.CUBE, (0, 1))
+        assert vc.verify(self.CUBE) is True
+        assert dataclasses.replace(vc, patterns=vc.patterns[:3]).verify(
+            self.CUBE
+        ) is False
+        assert vc.verify(tclass((0, 0), (0, 1), (1, 0))) is False
+
+    def test_empty_indices(self):
+        ds = ds_shatters(self.CUBE, (0, 1))
+        assert dataclasses.replace(ds, indices=()).verify(self.CUBE) is False
+        with pytest.raises(ValueError, match="index sequence must be nonempty"):
+            ds_shatters(self.CUBE, ())
+
+    def test_each_malformed_witness_is_rejected(self):
+        """One witness per way verify can refuse, each otherwise intact."""
+        ds = ds_shatters(self.CUBE, (0, 1))
+        nat = n_shatters(self.CUBE, (0, 1))
+        graph = g_shatters(self.CUBE, (0, 1))
+        three = tclass((0, 0), (0, 1), (1, 0))
+        hoods = ds.neighbors
+        cases = {
+            "no patterns": (dataclasses.replace(ds, patterns=()), self.CUBE),
+            "a pattern without neighbors": (
+                dataclasses.replace(ds, neighbors=hoods[:3]), self.CUBE
+            ),
+            "an unrealized pattern": (ds, three),
+            "an empty neighborhood": (
+                dataclasses.replace(ds, neighbors=(((), (1,)),) + hoods[1:]),
+                self.CUBE,
+            ),
+            "a neighbor off the wrong coordinate": (
+                dataclasses.replace(ds, neighbors=(((1,), (1,)),) + hoods[1:]),
+                self.CUBE,
+            ),
+            "a pair agreeing on a point": (
+                dataclasses.replace(nat, pair=((0, 0), (0, 1))), self.CUBE
+            ),
+            "realizers out of order (Natarajan)": (
+                dataclasses.replace(nat, realizers=nat.realizers[::-1]),
+                self.CUBE,
+            ),
+            "no anchor": (dataclasses.replace(graph, anchor=None), self.CUBE),
+            "realizers out of order (graph)": (
+                dataclasses.replace(graph, realizers=graph.realizers[::-1]),
+                self.CUBE,
+            ),
+            "a kind that is no ShatterKind": (
+                dataclasses.replace(ds, kind="ds"), self.CUBE
+            ),
+        }
+        for case, (witness, cls) in cases.items():
+            assert witness.verify(cls) is False, case
+
+
 class TestNatarajan:
     def test_bounded_support_pair_not_shattered(self):
         cls = haussler_long_class(2, 3, 1)
