@@ -26,7 +26,6 @@ from conceptlab.dimensions import (
     dimension,
     ds_shatters,
     ds_shatters_bruteforce,
-    dual_dimension,
     g_shatters,
     n_shatters,
     vc_shatters,
@@ -51,7 +50,6 @@ from conceptlab.compression import (
     counting_bound,
     extract_disambiguation,
     min_compression_certificate,
-    min_compression_size,
     star_biclique_scheme,
     to_binary_class,
     verify_scheme,

@@ -128,8 +128,11 @@ def verify_scheme(
     concept is checked once for being total over the domain.
 
     Raises BudgetError (carrying the partial report, valid=None) when more
-    than ``sample_budget`` samples would be checked.
+    than ``sample_budget`` samples would be checked, and ValueError, before
+    enumerating anything, when ``sample_budget`` is negative.
     """
+    if sample_budget is not None and sample_budget < 0:
+        raise ValueError(f"sample budget must be non-negative, got {sample_budget}")
     compress = scheme.compress
     reconstruct = scheme.reconstruct
     domain_size = cls.domain_size
@@ -676,16 +679,6 @@ def min_compression_certificate(
         f"k = m = {m} keeps every sample whole and is always feasible, yet "
         f"the search refuted k-levels {refuted}"
     )
-
-
-def min_compression_size(cls: ConceptClass, m: int, bit_budget: int) -> int:
-    k, table = min_compression_certificate(cls, m, bit_budget)
-    report = verify_scheme(cls, table.as_scheme("min-compression"), m)
-    if report.valid is not True:
-        raise ContractViolationError(
-            f"certificate at k={k} failed replay: {report.failures[:3]}"
-        )
-    return k
 
 
 # --- compression implies disambiguation --------------------------------------

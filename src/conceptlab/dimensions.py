@@ -28,7 +28,23 @@ search less and reach the same witness:
 * both try only the distinct rows, in first-occurrence order, since a
   repeated row can only repeat a pair or an anchor tried before;
 * Natarajan tries unordered pairs i < j, since (f1, f2) is a witness exactly
-  when (f2, f1) is one, so the first ordered witness has i < j.
+  when (f2, f1) is one, so the first ordered witness has i < j;
+* both skip the rows that no witness can use, by the count behind the 2^|S|
+  bound applied to one coordinate at a time, with d = |S|:
+
+  - Natarajan keeps a row only if, at every coordinate i, at least
+    2^(d-1) kept rows carry its label at i, and repeats until no row
+    drops.  A witness's 2^d mixtures are distinct realized rows; at each
+    i, 2^(d-1) of them carry f1[i] and the other 2^(d-1) carry f2[i], so
+    by induction on the rounds every mixture, f1 and f2 included, is kept.
+  - graph tries only anchors whose label at every coordinate i is carried
+    by at least 2^(d-1) distinct rows and missing from at least 2^(d-1).
+    The realizers of the masks containing i agree with the anchor at i;
+    the other 2^(d-1) disagree with it there, with a defined label, since
+    the class is total.
+
+  Each filtered search tries a subsequence of the unfiltered order that
+  holds every witness, so its first witness is the same.
 
 Both run on int bitsets over the distinct rows, with one bit per row and
 ``by[i][y]`` the rows carrying label y at coordinate i (``core.label_bits``).
@@ -342,17 +358,25 @@ def n_shatters(
       only pairs already tried with that earlier concept, so a and b are
       first occurrences;
     * 2^d count: a witness's 2^d mixtures are distinct realized
-      restrictions, so with fewer than 2^d distinct rows there is none.
+      restrictions, so with fewer than 2^d distinct rows there is none;
+    * row filter: every mixture is a live row, and so are f1 and f2, where
+      a row stays live while, at every coordinate i, at least 2^(d-1) live
+      rows carry its label at i.  At each i, 2^(d-1) mixtures carry f1[i]
+      and the other 2^(d-1) carry f2[i], so no round drops a mixture.  The
+      rounds repeat until no row drops, and a and b are tried only among
+      the live rows, in the same order: a subsequence of the pairs above
+      that holds every witness.
 
     Each test is on int bitsets over the distinct rows, with ``by[i][y]``
-    the rows carrying label y at coordinate i.  For row a, the rows b > a
-    that disagree with f1 = rows[a] everywhere are those outside
-    ``OR_i by[i][f1[i]]``; they are tried in ascending order.  The pair
-    (f1, f2) is a witness exactly when ``AND_i (by[i][f1[i]] | by[i][f2[i]])``
-    has 2^d bits: f1 and f2 differ at every coordinate, so a row inside
-    {f1[i], f2[i]} at every i is the mixture of exactly one mask, and the
-    rows are distinct, so 2^d such rows realize every mask.  The mixtures
-    are built only for the witness.
+    the rows carrying label y at coordinate i.  A round keeps the AND over
+    i of the OR of the ``by[i][y]`` that hold at least 2^(d-1) live rows.
+    For live row a, the live rows b > a that disagree with f1 = rows[a]
+    everywhere are those outside ``OR_i by[i][f1[i]]``; they are tried in
+    ascending order.  The pair (f1, f2) is a witness exactly when
+    ``AND_i (by[i][f1[i]] | by[i][f2[i]])`` has 2^d bits: f1 and f2 differ
+    at every coordinate, so a row inside {f1[i], f2[i]} at every i is the
+    mixture of exactly one mask, and the rows are distinct, so 2^d such rows
+    realize every mask.  The mixtures are built only for the witness.
     """
     _require_total(cls, "Natarajan shattering")
     indices = _checked_indices(cls, indices)
@@ -362,11 +386,27 @@ def n_shatters(
     if len(rows) < size:
         return None
     by = label_bits(zip(*rows))
+    half = size >> 1
+    live = (1 << len(rows)) - 1
+    while True:
+        kept = live
+        for labels in by:
+            kept &= functools.reduce(
+                operator.or_,
+                (bits for bits in labels.values() if (bits & live).bit_count() >= half),
+                0,
+            )
+        if kept == live:
+            break
+        if kept.bit_count() < size:
+            return None
+        live = kept
     # own[r][i]: the rows sharing row r's label at coordinate i
     own = [tuple(map(dict.__getitem__, by, row)) for row in rows]
-    full = (1 << len(rows)) - 1
     for a, bits_a in enumerate(own):
-        candidates = full & ~((2 << a) - 1) & ~functools.reduce(operator.or_, bits_a)
+        if not (live >> a) & 1:
+            continue
+        candidates = live & ~((2 << a) - 1) & ~functools.reduce(operator.or_, bits_a)
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -402,7 +442,14 @@ def g_shatters(
       occurrence, which has already failed;
     * 2^d count: a witness's 2^d realizers have distinct agreement masks,
       hence are distinct rows, so with fewer than 2^d distinct rows there is
-      none.
+      none;
+    * anchor filter: at each coordinate i, the 2^(d-1) realizers of the
+      masks containing i carry the anchor's label there, and the other
+      2^(d-1) carry another label, defined since the class is total.  So
+      only anchors whose label at every i is carried by at least 2^(d-1)
+      distinct rows and missing from at least 2^(d-1) are tried, in the
+      same order: a subsequence that holds every witness.  The counts are
+      read from the bitsets below, since they do not depend on row order.
 
     Each test is on int bitsets over the sorted distinct rows.  With
     ``same[i]`` the rows agreeing with the anchor at coordinate i, the rows
@@ -420,8 +467,16 @@ def g_shatters(
         return None
     sorted_rows = sorted(rows)
     by = label_bits(zip(*sorted_rows))
+    half = 1 << (d - 1)
+    # usable[i]: the labels at coordinate i that an anchor of a witness can carry
+    usable = [
+        {y for y, bits in labels.items() if half <= bits.bit_count() <= len(rows) - half}
+        for labels in by
+    ]
     full = (1 << len(rows)) - 1
     for anchor in rows:
+        if not all(map(set.__contains__, usable, anchor)):
+            continue
         # hits[mask] over the coordinates taken so far: coordinate i joins
         # as bit i, the high bit, so the list stays indexed by mask
         hits = [full]
@@ -532,10 +587,3 @@ def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
         else:
             break
     return best
-
-
-def dual_dimension(cls: ConceptClass, kind: ShatterKind) -> int:
-    """Dimension of the transposed class."""
-    from conceptlab.core import dual
-
-    return dimension(dual(cls), kind).value

@@ -1,0 +1,25 @@
+"""Compositions of package calls that the tests use and the package does
+not.  Unlike ``oracles``, these reuse the package: each is a shorthand for
+a few public calls, not an independent reference."""
+
+from conceptlab.compression import min_compression_certificate, verify_scheme
+from conceptlab.core import ConceptClass, dual
+from conceptlab.dimensions import ShatterKind, dimension
+from conceptlab.errors import ContractViolationError
+
+
+def dual_dimension(cls: ConceptClass, kind: ShatterKind) -> int:
+    """Dimension of the transposed class."""
+    return dimension(dual(cls), kind).value
+
+
+def min_compression_size(cls: ConceptClass, m: int, bit_budget: int) -> int:
+    """The least k of ``min_compression_certificate``, after its table
+    replays through ``verify_scheme``."""
+    k, table = min_compression_certificate(cls, m, bit_budget)
+    report = verify_scheme(cls, table.as_scheme("min-compression"), m)
+    if report.valid is not True:
+        raise ContractViolationError(
+            f"certificate at k={k} failed replay: {report.failures[:3]}"
+        )
+    return k

@@ -223,6 +223,46 @@ def g_first_witness(concepts, indices):
     return None
 
 
+def natarajan_row_filter_drops(concepts, indices):
+    """The number of distinct rows each round of the Natarajan row filter
+    drops, until a round drops none.  A round keeps a row when, at every
+    position, at least 2^(d-1) of the rows kept so far carry its label
+    there."""
+    d = len(indices)
+    live = patterns_on(concepts, indices)
+    drops = []
+    while True:
+        keep = {
+            row
+            for row in live
+            if all(
+                sum(1 for other in live if other[pos] == row[pos]) >= 2 ** (d - 1)
+                for pos in range(d)
+            )
+        }
+        if keep == live:
+            return drops
+        drops.append(len(live - keep))
+        live = keep
+
+
+def graph_anchors_filtered(concepts, indices):
+    """The number of distinct rows the graph anchor filter rejects: those
+    whose label at some position is carried by fewer than 2^(d-1) distinct
+    rows, or missing from fewer than 2^(d-1) of them."""
+    d = len(indices)
+    rows = patterns_on(concepts, indices)
+    half = 2 ** (d - 1)
+    return sum(
+        1
+        for row in rows
+        if not all(
+            half <= sum(1 for other in rows if other[pos] == row[pos]) <= len(rows) - half
+            for pos in range(d)
+        )
+    )
+
+
 def shared_label_score(concepts, j):
     """The largest, over the labels y defined at point j, of the smaller of
     the number of concepts labelled y at j and the number labelled with

@@ -12,13 +12,13 @@ import time
 from contextlib import contextmanager
 
 import oracles
+from helpers import dual_dimension, min_compression_size
 from conceptlab.cli import report_table
 from conceptlab.compression import (
     _find_assignment,
     boosted_scheme,
     counting_bound,
     min_compression_certificate,
-    min_compression_size,
     star_biclique_scheme,
     to_binary_class,
     verify_scheme,
@@ -99,8 +99,6 @@ def test_criterion_03_dual_ds_blowup():
                 lambda concepts, combo: ds_shatters(fam, combo) is not None,
             )
             assert full == primal
-            from conceptlab.dimensions import dual_dimension
-
             assert dual_dimension(fam, ShatterKind.DS) == rows
 
 

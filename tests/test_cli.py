@@ -564,6 +564,22 @@ class TestBudgetEvidence:
             (8, None, 100),
         ]
 
+    def test_verify_compression_negative_budget_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        cls_file = tmp_path / "b4.json"
+        run_cli("gen", "--family", "biclique", "--t", "4", "--out", str(cls_file))
+        capsys.readouterr()
+        argv = ("verify-compression", "--class", str(cls_file), "--scheme", "star",
+                "--m", "2", "--budget")
+        assert run_cli(*argv, "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+        assert run_cli(*argv, "0") == 3
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [(r["valid"], r["samples_checked"]) for r in reports] == [(None, 0)]
+
     def test_min_compression_prints_refuted_levels(
         self, tmp_path, capsys, monkeypatch
     ):

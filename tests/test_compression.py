@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import min_compression_size
 from conceptlab import compression
 from conceptlab.core import (
     STAR,
@@ -28,7 +29,6 @@ from conceptlab.compression import (
     extract_disambiguation,
     list_coloring,
     min_compression_certificate,
-    min_compression_size,
     star_biclique_scheme,
     to_binary_class,
     verify_scheme,
@@ -128,6 +128,16 @@ class TestVerifyScheme:
             verify_scheme(cls, constant_scheme((0,) * 60), 8, sample_budget=100)
         assert info.value.report.samples_checked == 100
         assert info.value.report.valid is None
+
+    def test_negative_sample_budget_is_rejected_before_enumerating(self):
+        # the class of the test above: enumerating would not finish
+        cls = tclass((0,) * 60)
+        scheme = constant_scheme((0,) * 60)
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_scheme(cls, scheme, 8, sample_budget=-1)
+        with pytest.raises(BudgetError) as info:
+            verify_scheme(cls, scheme, 8, sample_budget=0)
+        assert info.value.report.samples_checked == 0
 
     def test_invalid_reconstruction_is_caught_on_a_later_sample(self):
         # the first samples reconstruct a valid concept, a later one does not

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import oracles
+from helpers import dual_dimension
 from conceptlab import _kernels, dimensions
 from conceptlab.core import STAR, ClassKind, ConceptClass
 from conceptlab.constructions import (
@@ -25,7 +26,6 @@ from conceptlab.dimensions import (
     dimension,
     ds_shatters,
     ds_shatters_bruteforce,
-    dual_dimension,
     g_shatters,
     n_shatters,
     vc_shatters,
@@ -319,6 +319,21 @@ class TestFirstWitness:
             repeated += distinct < cls.n_concepts
             few += distinct < 2 ** len(combo)
         assert repeated > 500 and few > 500
+
+    def test_row_filter_case_mix(self):
+        # among the subsets the 2^d count lets through: some where the
+        # Natarajan row filter drops a row, some where its second round
+        # drops more, and some where the graph filter rejects an anchor, so
+        # that the first-witness tests here pin both filters
+        n_drop = n_second = g_drop = 0
+        for cls, combo in self.cases():
+            if len(oracles.patterns_on(cls.concepts, combo)) < 2 ** len(combo):
+                continue
+            drops = oracles.natarajan_row_filter_drops(cls.concepts, combo)
+            n_drop += bool(drops)
+            n_second += len(drops) > 1
+            g_drop += oracles.graph_anchors_filtered(cls.concepts, combo) > 0
+        assert n_drop > 50 and n_second > 0 and g_drop > 50
 
     def test_natarajan_matches_first_ordered_pair(self):
         found = 0

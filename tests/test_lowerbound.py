@@ -7,11 +7,11 @@ import random
 import pytest
 
 import oracles
+from helpers import min_compression_size
 from conceptlab.compression import (
     CompressionScheme,
     counting_bound,
     min_compression_certificate,
-    min_compression_size,
     star_biclique_scheme,
 )
 from conceptlab.constructions import (
