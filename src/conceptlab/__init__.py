@@ -14,7 +14,6 @@ from conceptlab.core import (
     dual,
     dumps_class,
     enumerate_realizable_samples,
-    is_realizable,
     loads_class,
     restrict,
     union_disjoint,

@@ -8,7 +8,10 @@ one can serve as a correctness oracle for the other:
 * ``ds_fixpoint`` groups the patterns, for each coordinate i, into buckets
   of mutual i-neighbors, and deletes any pattern that is the only live
   member of one of its buckets until stable.  It returns the maximal
-  neighbor-closed subset (empty iff no witness exists).
+  neighbor-closed subset (empty iff no witness exists), and returns it
+  empty as soon as fewer than 2^d patterns are live, d the pattern length:
+  a nonempty neighbor-closed set on d coordinates has at least 2^d
+  patterns (the lemma behind the count in ``dimensions.ds_shatters``).
 * ``ds_bruteforce_mask`` enumerates every subset of the pattern list and
   checks the neighbor condition directly from the definition.
 
@@ -26,19 +29,34 @@ def ds_fixpoint(patterns: list[tuple[int, ...]]) -> list[int]:
     i-neighbor for every coordinate i.  Returns [] when none exists.
 
     A bucket is the bitmask (bit a for pattern a) of the patterns that agree
-    off coordinate i, so its members are mutual i-neighbors.  Sweeps delete
-    a pattern alone among the live members of one of its buckets until
-    nothing changes; deletion order does not change the greatest fixpoint."""
+    off coordinate i, so its members are mutual i-neighbors.  A pattern
+    alone in one of its buckets has no i-neighbor at all, so it is deleted
+    as soon as the buckets of i are built.  Sweeps then delete a pattern
+    alone among the live members of one of its buckets until nothing
+    changes; deletion order does not change the greatest fixpoint.
+
+    The greatest fixpoint lies inside the live set, and a nonempty one has
+    at least 2^d patterns for d = len(patterns[0]), so [] is returned as
+    soon as fewer than 2^d patterns are live: checked after the buckets of
+    each coordinate and after each sweep that deletes something."""
     if not patterns or not patterns[0]:
         return []
+    d = len(patterns[0])
+    size = 1 << d
+    alive = (1 << len(patterns)) - 1
     buckets = []
-    for i in range(len(patterns[0])):
+    for i in range(d):
         groups: dict[tuple[int, ...], int] = {}
         for a, pa in enumerate(patterns):
             key = pa[:i] + pa[i + 1:]
             groups[key] = groups.get(key, 0) | 1 << a
-        buckets.extend(groups.values())
-    alive = (1 << len(patterns)) - 1
+        for bucket in groups.values():
+            if bucket & (bucket - 1):
+                buckets.append(bucket)
+            else:
+                alive &= ~bucket
+        if alive.bit_count() < size:
+            return []
     changed = True
     while changed:
         changed = False
@@ -47,6 +65,8 @@ def ds_fixpoint(patterns: list[tuple[int, ...]]) -> list[int]:
             if live and not live & (live - 1):
                 alive ^= live
                 changed = True
+        if changed and alive.bit_count() < size:
+            return []
     return [f for f in range(len(patterns)) if (alive >> f) & 1]
 
 

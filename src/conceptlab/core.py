@@ -226,13 +226,6 @@ def restrict(
     return frozenset(cls.project(indices))
 
 
-def is_realizable(cls: ConceptClass, sample: Sample) -> bool:
-    """True iff a single concept is defined and agrees on every entry."""
-    for index, _ in sample.entries:
-        cls.check_index(index)
-    return cls.agreeing(sample.entries) != 0
-
-
 def enumerate_realizable_samples(cls: ConceptClass, m: int) -> Iterator[Sample]:
     """Yield every realizable sample of size exactly m, in canonical order.
 

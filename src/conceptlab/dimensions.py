@@ -73,8 +73,18 @@ each kind, because distinct restrictions come from distinct concepts:
   j, 2^(d-1) of them; the other 2^(d-1) disagree with it there, with a
   defined label, since the class is total.
 
-``dimension`` tries at most ``SUBSET_BUDGET`` subsets, then raises
-BudgetError with the lower bound completed so far and its witness.
+On a partial class ``dimension`` also skips, after counting it as tried,
+every subset S of size d on which fewer than 2^d concepts are defined at
+every point, read as the AND over S of per-point bitsets of the concepts
+defined there.  DS and VC both need 2^d distinct full-support patterns on
+S (the count in ``ds_shatters``; the 2^d binary patterns), and each comes
+from a concept defined on all of S, so such an S is never shattered; the
+checker would reject it by that count.  Natarajan and graph need a total
+class, where every concept is defined everywhere.
+
+``dimension`` tries at most ``SUBSET_BUDGET`` subsets, skipped ones
+included, then raises BudgetError with the lower bound completed so far
+and its witness.
 """
 
 from __future__ import annotations
@@ -523,6 +533,15 @@ def _shared_label_scores(cls: ConceptClass) -> list[int]:
     return [max((min(c, sum(cs) - c) for c in cs), default=0) for cs in sizes]
 
 
+def _defined_bits(cls: ConceptClass) -> list[int]:
+    """``defined[j]``: the int bitset of the concepts with a defined label
+    at point j, the OR of the ``cls.holders`` of j."""
+    defined = [0] * cls.domain_size
+    for (j, _), bits in cls.holders.items():
+        defined[j] |= bits
+    return defined
+
+
 def _check_kind_applies(cls: ConceptClass, kind: ShatterKind) -> None:
     """The ValueError every call of the kind's checker raises on this class,
     whatever the indices: VC needs labels within {0, 1}, Natarajan and
@@ -552,12 +571,20 @@ def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
     score is at most half the concepts, no level past log2 of the class
     size is scanned.
 
+    On a partial class, a subset on which fewer than 2^d concepts are
+    defined at every point is skipped after it is counted as tried: DS and
+    VC both need 2^d full-support patterns there, each from a concept
+    defined on the whole subset, so the checker would reject it by count
+    (proof in the module docstring).  The first shattered subset of each
+    level is again unchanged.
+
     On a nonempty class with at least one point, raises before any search
     the ValueError that every call of the kind's checker raises: VC on
     labels outside {0, 1}, Natarajan and graph on a partial class.
 
     Raises BudgetError before trying subset number ``SUBSET_BUDGET + 1``;
-    a subset the bound skips is not tried.  Its ``report`` holds ``kind``,
+    a subset of a point the score bound skips is not tried, a subset the
+    defined-concept count skips is.  Its ``report`` holds ``kind``,
     ``lower_bound`` (the best completed result, a DimensionResult) and
     ``level`` (the d being scanned).
     """
@@ -568,6 +595,8 @@ def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
         _check_kind_applies(cls, kind)
     check = _CHECKERS[kind]
     score = _shared_label_scores(cls)
+    # None on a total class, where every concept is defined everywhere
+    defined = _defined_bits(cls) if cls.kind is ClassKind.PARTIAL else None
     best = DimensionResult(value=0, witness=None)
     tried = 0
     for d in range(1, cls.domain_size + 1):
@@ -580,6 +609,10 @@ def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
                     report={"kind": kind, "lower_bound": best, "level": d},
                 )
             tried += 1
+            if defined is not None and functools.reduce(
+                operator.and_, map(defined.__getitem__, combo)
+            ).bit_count() < 1 << d:
+                continue
             witness = check(cls, combo)
             if witness is not None:
                 best = DimensionResult(value=d, witness=witness)

@@ -3,9 +3,17 @@ not.  Unlike ``oracles``, these reuse the package: each is a shorthand for
 a few public calls, not an independent reference."""
 
 from conceptlab.compression import min_compression_certificate, verify_scheme
-from conceptlab.core import ConceptClass, dual
+from conceptlab.core import ConceptClass, Sample, dual
 from conceptlab.dimensions import ShatterKind, dimension
 from conceptlab.errors import ContractViolationError
+
+
+def is_realizable(cls: ConceptClass, sample: Sample) -> bool:
+    """True iff a single concept is defined and agrees on every entry; the
+    sample's points are checked first."""
+    for index, _ in sample.entries:
+        cls.check_index(index)
+    return cls.agreeing(sample.entries) != 0
 
 
 def dual_dimension(cls: ConceptClass, kind: ShatterKind) -> int:

@@ -275,6 +275,11 @@ def shared_label_score(concepts, j):
     return best
 
 
+def defined_everywhere(concepts, indices):
+    """Number of concepts with a defined label at every index."""
+    return sum(1 for c in concepts if all(c[i] != STAR for i in indices))
+
+
 def naive_dimension(concepts, n, shattered) -> int:
     """Largest d with some shattered size-d subset, by scanning everything."""
     if not concepts:

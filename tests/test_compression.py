@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import min_compression_size
+from helpers import is_realizable, min_compression_size
 from conceptlab import compression
 from conceptlab.core import (
     STAR,
@@ -17,7 +17,6 @@ from conceptlab.core import (
     ConceptClass,
     Sample,
     enumerate_realizable_samples,
-    is_realizable,
 )
 from conceptlab.compression import (
     CompressionKey,

@@ -6,12 +6,12 @@ import math
 
 import pytest
 
+from helpers import is_realizable
 from conceptlab.core import (
     STAR,
     ClassKind,
     ConceptClass,
     enumerate_realizable_samples,
-    is_realizable,
     restrict,
 )
 from conceptlab.constructions import (

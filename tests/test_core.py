@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import is_realizable
 from conceptlab.core import (
     STAR,
     ClassKind,
@@ -18,7 +19,6 @@ from conceptlab.core import (
     dual,
     dumps_class,
     enumerate_realizable_samples,
-    is_realizable,
     loads_class,
     restrict,
     sample_from_json,

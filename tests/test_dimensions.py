@@ -526,6 +526,8 @@ class TestSharedLabelBound:
                         continue
                     floor = min(score[j] for j in combo)
                     assert floor >= 2 ** (d - 1), (cls, kind, combo)
+                    defined = oracles.defined_everywhere(cls.concepts, combo)
+                    assert defined >= 2**d, (cls, kind, combo)
                     cases += 1
                     tight += floor == 2 ** (d - 1)
         assert cases > 5000 and tight >= 1000
@@ -569,6 +571,36 @@ class TestSharedLabelBound:
             assert got == want, (cls, kind)
         assert len(pruned) >= 500
 
+    def scan(self, cls, kind):
+        """(subset, seen) for each subset ``dimension`` tries, in order: the
+        subsets of the points the score keeps, up to the first shattered
+        one of each level.  The checker sees those on which at least 2^d
+        concepts are defined everywhere (seen True) and no others."""
+        n = cls.domain_size
+        score = [oracles.shared_label_score(cls.concepts, j) for j in range(n)]
+        out = []
+        for d in range(1, n + 1):
+            kept = [
+                combo
+                for combo in itertools.combinations(range(n), d)
+                if min(score[j] for j in combo) >= 2 ** (d - 1)
+            ]
+            hit = next(
+                (
+                    pos
+                    for pos, combo in enumerate(kept)
+                    if self.ORACLES[kind](cls.concepts, combo)
+                ),
+                None,
+            )
+            out += [
+                (combo, oracles.defined_everywhere(cls.concepts, combo) >= 2**d)
+                for combo in (kept if hit is None else kept[: hit + 1])
+            ]
+            if hit is None:
+                break
+        return out
+
     def test_checker_sees_exactly_the_kept_subsets(self, monkeypatch):
         calls = []
         for kind, check in list(dimensions._CHECKERS.items()):
@@ -578,31 +610,29 @@ class TestSharedLabelBound:
                 return check(cls, indices)
 
             monkeypatch.setitem(dimensions._CHECKERS, kind, counting)
+        skipped = 0
         for cls, kind in self.cases():
-            n = cls.domain_size
-            score = [oracles.shared_label_score(cls.concepts, j) for j in range(n)]
-            want = []
-            for d in range(1, n + 1):
-                kept = [
-                    combo
-                    for combo in itertools.combinations(range(n), d)
-                    if min(score[j] for j in combo) >= 2 ** (d - 1)
-                ]
-                hit = next(
-                    (
-                        pos
-                        for pos, combo in enumerate(kept)
-                        if self.ORACLES[kind](cls.concepts, combo)
-                    ),
-                    None,
-                )
-                if hit is None:
-                    want += kept
-                    break
-                want += kept[: hit + 1]
+            tried = self.scan(cls, kind)
+            want = [combo for combo, seen in tried if seen]
+            skipped += len(tried) - len(want)
             calls.clear()
             dimension(cls, kind)
             assert calls == want, (cls, kind)
+        assert skipped > 50
+
+    def test_skipped_subsets_count_toward_the_budget(self, monkeypatch):
+        cases = 0
+        for cls, kind in self.cases():
+            tried = self.scan(cls, kind)
+            if all(seen for _, seen in tried):
+                continue
+            cases += 1
+            monkeypatch.setattr(dimensions, "SUBSET_BUDGET", len(tried))
+            dimension(cls, kind)
+            monkeypatch.setattr(dimensions, "SUBSET_BUDGET", len(tried) - 1)
+            with pytest.raises(BudgetError):
+                dimension(cls, kind)
+        assert cases > 50
 
     @pytest.mark.parametrize("kind", [ShatterKind.DS, ShatterKind.NATARAJAN])
     def test_disjoint_pairs_make_one_checker_call(self, monkeypatch, kind):

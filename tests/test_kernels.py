@@ -76,6 +76,26 @@ class TestRouteAgreement:
             pats = sorted(itertools.product((0, 1), repeat=d))
             assert _kernels.ds_fixpoint(pats) == list(range(len(pats)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_cube_less_one_pattern_is_empty(self, d):
+        """Removing any pattern of the cube leaves no neighbor-closed set,
+        whichever coordinate first leaves fewer than 2^d live."""
+        cube = list(itertools.product((0, 1), repeat=d))
+        for gone in cube:
+            pats = [p for p in cube if p != gone]
+            assert _kernels.ds_fixpoint(pats) == []
+            assert oracles.ds_fixpoint_pairwise(pats) == []
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cube_plus_a_stray_keeps_the_cube(self, d):
+        """A pattern differing from the cube everywhere has no neighbor, so
+        exactly 2^d patterns stay live: the exit must not fire at 2^d.
+        (At d = 1 any two patterns are neighbors, so no stray exists.)"""
+        pats = sorted(itertools.product((0, 1), repeat=d)) + [(2,) * d]
+        want = list(range(2**d))
+        assert _kernels.ds_fixpoint(pats) == want
+        assert oracles.ds_fixpoint_pairwise(pats) == want
+
 
 @st.composite
 def pattern_lists(draw):
