@@ -33,6 +33,7 @@ from conceptlab.core import (
     is_nonnegative_int,
     sample_from_json,
     sample_to_json,
+    walk_realizable_samples,
 )
 from conceptlab.dimensions import ShatterKind, dimension
 from conceptlab.errors import (
@@ -115,6 +116,111 @@ def _check_reconstruction(
         )
 
 
+def replay_scheme(
+    cls: ConceptClass,
+    scheme: CompressionScheme,
+    low: int,
+    high: int,
+    *,
+    sample_budget: Optional[int] = None,
+) -> list[SchemeReport | Exception]:
+    """Replay the scheme at every sample size from ``low`` to ``high`` in one
+    walk (``core.walk_realizable_samples``) and give each size the outcome
+    that ``verify_scheme`` at that size alone gives: its SchemeReport, or
+    the exception it raises (a sample-budget BudgetError included).
+
+    The outcomes come in ascending size and stop at the first one that is
+    not a valid report, since a failure or an exception at size d stops the
+    checking of every size above d; an exception also ends its own size.
+    The walk ends as soon as no size is left to check.
+
+    Each distinct key (subsample entries, bits) is measured once: its size,
+    the bitset of the pair ranks of its entries (an entry no concept holds
+    gets a rank that no sample has), one ``reconstruct`` call and, once that
+    concept passes ``_check_reconstruction``, the bitset of the sample pairs
+    it agrees with.  A concept that fails the check is not kept, so it
+    raises again at the next use of its key.  A sample then costs two int
+    tests, containment and agreement; only a failure scans its entries, to
+    report the same index as an entry-by-entry check.  The memo holds one
+    entry per distinct key met, so it never outgrows the samples checked.
+
+    ValueError, before anything is enumerated, when ``sample_budget`` is
+    negative or ``low`` is below 1.
+    """
+    if sample_budget is not None and sample_budget < 0:
+        raise ValueError(f"sample budget must be non-negative, got {sample_budget}")
+    compress = scheme.compress
+    reconstruct = scheme.reconstruct
+    domain_size = cls.domain_size
+    pairs = sorted(cls.holders)
+    rank_bit = {pair: 1 << r for r, pair in enumerate(pairs)}
+    outside = 1 << len(pairs)  # the rank of a pair no concept holds
+    known: dict[tuple, list] = {}  # key -> [size, ranks, concept, agree]
+    failures: list[list[tuple[Sample, int]]] = [[] for _ in range(high + 1)]
+    k_of = [0] * (high + 1)
+    checked = [0] * (high + 1)
+    raised: dict[int, Exception] = {}
+    top = high  # the largest size still checked
+    walk = walk_realizable_samples(cls, low, high)
+    for sample, ranks in walk:
+        entries = sample.entries
+        m = len(entries)
+        if sample_budget is not None and checked[m] == sample_budget:
+            raised[m] = BudgetError(
+                f"sample budget {sample_budget} exhausted at size {m}",
+                report=SchemeReport(None, m, k_of[m], tuple(failures[m]), checked[m]),
+            )
+            top = m - 1
+        else:
+            checked[m] += 1
+            try:
+                key = compress(sample)
+                sub = key.subsample.entries
+                ident = (sub, key.bits)
+                facts = known.get(ident)
+                if facts is None:
+                    key_ranks = 0
+                    for entry in sub:
+                        key_ranks |= rank_bit.get(entry, outside)
+                    size = max(len(sub), len(key.bits))
+                    facts = known[ident] = [size, key_ranks, None, 0]
+                size, key_ranks, concept, agree = facts
+                if size > k_of[m]:
+                    k_of[m] = size
+                # element-wise containment: a key may repeat an entry of the
+                # sample (block padding does) but may not add one it lacks
+                if key_ranks & ~ranks:
+                    bad = next(e for e in sub if e not in entries)[0]
+                else:
+                    if concept is None:
+                        concept = reconstruct(key)
+                        _check_reconstruction(scheme, key, concept, domain_size)
+                        agree = 0
+                        for pair in enumerate(concept):
+                            agree |= rank_bit.get(pair, 0)
+                        facts[2:] = concept, agree
+                    if not ranks & ~agree:
+                        continue
+                    bad = next(i for i, y in entries if concept[i] != y)
+                failures[m].append((sample, bad))
+                if m >= top:
+                    continue
+                top = m
+            except Exception as exc:
+                raised[m] = exc
+                top = m - 1
+        if top < low:
+            break
+        walk.send(top)
+    outcomes: list[SchemeReport | Exception] = [
+        SchemeReport(not failures[m], m, k_of[m], tuple(failures[m]), checked[m])
+        for m in range(low, top + 1)
+    ]
+    if top < high and not failures[top]:
+        outcomes.append(raised[top + 1])
+    return outcomes
+
+
 def verify_scheme(
     cls: ConceptClass,
     scheme: CompressionScheme,
@@ -124,66 +230,22 @@ def verify_scheme(
 ) -> SchemeReport:
     """Run the scheme over every realizable sample of size m and check the
     compression contract: the subsample is drawn from the sample, and the
-    reconstruction agrees with every entry.  Each distinct reconstructed
-    concept is checked once for being total over the domain.
+    reconstruction agrees with every entry.  This is ``replay_scheme`` at
+    the one size m.
+
+    Under the determinism contract (compress and reconstruct are pure
+    functions of the canonical sample and key), ``reconstruct`` runs once
+    per distinct key, and each reconstructed concept is checked for being
+    total over the domain before any sample is tested against it.
 
     Raises BudgetError (carrying the partial report, valid=None) when more
     than ``sample_budget`` samples would be checked, and ValueError, before
     enumerating anything, when ``sample_budget`` is negative.
     """
-    if sample_budget is not None and sample_budget < 0:
-        raise ValueError(f"sample budget must be non-negative, got {sample_budget}")
-    compress = scheme.compress
-    reconstruct = scheme.reconstruct
-    domain_size = cls.domain_size
-    failures: list[tuple[Sample, int]] = []
-    k_of_m = 0
-    checked = 0
-    total_concepts: set[tuple[int, ...]] = set()
-    valid: Optional[bool] = None
-    for sample in enumerate_realizable_samples(cls, m):
-        if sample_budget is not None and checked >= sample_budget:
-            break
-        checked += 1
-        key = compress(sample)
-        entries = sample.entries
-        sub = key.subsample.entries
-        if len(sub) > k_of_m:
-            k_of_m = len(sub)
-        if len(key.bits) > k_of_m:
-            k_of_m = len(key.bits)
-        # element-wise containment: a key may repeat an entry of the sample
-        # (block padding does) but may not introduce one the sample lacks
-        bad = None
-        for entry in sub:
-            if entry not in entries:
-                bad = entry[0]
-                break
-        if bad is not None:
-            failures.append((sample, bad))
-            continue
-        concept = reconstruct(key)
-        if tuple(concept) not in total_concepts:
-            _check_reconstruction(scheme, key, concept, domain_size)
-            total_concepts.add(tuple(concept))
-        for i, y in entries:
-            if concept[i] != y:
-                failures.append((sample, i))
-                break
-    else:
-        valid = not failures
-    report = SchemeReport(
-        valid=valid,
-        m=m,
-        k_of_m=k_of_m,
-        failures=tuple(failures),
-        samples_checked=checked,
-    )
-    if valid is None:
-        raise BudgetError(
-            f"sample budget {sample_budget} exhausted at size {m}", report=report
-        )
-    return report
+    (outcome,) = replay_scheme(cls, scheme, m, m, sample_budget=sample_budget)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def counting_bound(m: int, c: int, k: int, bit_budget: int) -> int:
@@ -828,8 +890,10 @@ def boosted_scheme(
     the ratios of the weights, which normalisation never changes, so every
     decision is that of normalised rational weights.
 
-    The scheme memoizes the ERM index of every block it meets, shared by
-    compress and reconstruct for the life of the scheme object.
+    The scheme memoizes the ERM index of every block it meets, and the vote
+    of every key's entries once the header checks, both shared by compress
+    and reconstruct for the life of the scheme object.  Every key is the
+    same as without the memos.
 
     ``subsample_size`` defaults to max(1, graph dimension of the class).
     """
@@ -845,6 +909,7 @@ def boosted_scheme(
     weak_num, weak_den = WEAK_ERROR
     beta_num, beta_den = weak_num, weak_den - weak_num
     erm_of: dict[tuple[tuple[int, int], ...], int] = {}
+    vote_of: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
 
     def erm(block: tuple[tuple[int, int], ...]) -> int:
         idx = erm_of.get(block)
@@ -861,14 +926,17 @@ def boosted_scheme(
         entries = key.subsample.entries
         if size != subsample_size or rounds < 1 or len(entries) != size * rounds:
             raise ValueError("header does not match subsample length")
-        voters = [
-            cls.concepts[erm(entries[r : r + size])]
-            for r in range(0, len(entries), size)
-        ]
-        return tuple(
-            min(set(labels), key=lambda y: (-labels.count(y), y))
-            for labels in zip(*voters)
-        )
+        voted = vote_of.get(entries)
+        if voted is None:
+            voters = [
+                cls.concepts[erm(entries[r : r + size])]
+                for r in range(0, len(entries), size)
+            ]
+            voted = vote_of[entries] = tuple(
+                min(set(labels), key=lambda y: (-labels.count(y), y))
+                for labels in zip(*voters)
+            )
+        return voted
 
     def compress(sample: Sample) -> CompressionKey:
         entries = sample.entries

@@ -22,7 +22,7 @@ import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from conceptlab.errors import BudgetError
 
@@ -166,14 +166,14 @@ class ConceptClass:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """A multiset of (domain index, defined label) entries.
 
     Entries are canonicalized to sorted order at construction; all schemes
     and verifiers in this package are insensitive to entry order.  Duplicate
     indices with contradictory labels are representable but unrealizable by
-    any class.
+    any class.  The one field is a slot, so a sample holds no ``__dict__``.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -196,7 +196,7 @@ class Sample:
         sorted (index, defined label) pairs with non-negative ints.  Skips
         the checks and the sort; public construction keeps both."""
         sample = object.__new__(cls)
-        object.__setattr__(sample, "entries", entries)
+        cls.entries.__set__(sample, entries)
         return sample
 
     def __len__(self) -> int:
@@ -226,51 +226,98 @@ def restrict(
     return frozenset(cls.project(indices))
 
 
-def enumerate_realizable_samples(cls: ConceptClass, m: int) -> Iterator[Sample]:
-    """Yield every realizable sample of size exactly m, in canonical order.
+def walk_realizable_samples(
+    cls: ConceptClass, low: int, high: int
+) -> Generator[tuple[Sample, int], Optional[int], None]:
+    """Yield ``(sample, ranks)`` for every realizable sample whose size lies
+    in [low, high], where ``ranks`` is the int bitset of the positions, in
+    ``sorted(cls.holders)``, of the sample's distinct entries.
 
-    Samples are multisets; one realizable by several concepts is yielded
-    once.  The order is ascending lexicographic order of the sorted entry
-    tuples.  The stream is finite, deterministic and lazy: a depth-first
-    search over the sorted pairs of ``cls.holders`` picks pair indices in
-    nondecreasing order, ANDs the bitsets of the concepts holding each
-    pair, and drops a prefix as soon as no concept is left.  Beyond that
-    index it holds O(m) state.
+    The walk is a pre-order depth-first search over those sorted pairs: it
+    picks pair indices in nondecreasing order, ANDs the bitsets of the
+    concepts holding each pair, and drops a prefix as soon as no concept is
+    left.  A sample comes right after the prefix it extends, so the samples
+    of any one size come in canonical order (ascending sorted entry tuples),
+    each multiset once.  Beyond that index the walk holds O(high) state.
+
+    ``walk.send(h)`` (which returns None) lowers ``high`` to h, with
+    low <= h, for the rest of the walk: no sample larger than h comes after
+    it.  The walk is empty when high < low, and ValueError when low < 1.
     """
-    if m < 1:
+    if low < 1:
         raise ValueError("sample size must be at least 1")
+    if high < low:
+        return
     holders = cls.holders
     pairs = sorted(holders)
     masks = [holders[p] for p in pairs]
     tails = [(p,) for p in pairs]
+    bits = [1 << r for r in range(len(pairs))]
     n = len(pairs)
-    new = Sample._canonical
-    prefix: list[tuple[int, int]] = []
-    start = [0] * m  # next pair index to try at each depth
-    alive = [(1 << cls.n_concepts) - 1] + [0] * (m - 1)  # concepts left per depth
+    alloc = object.__new__
+    put = Sample.entries.__set__  # ``Sample._canonical``, inlined
+    heads: list[tuple[tuple[int, int], ...]] = [()] * high  # prefix per depth
+    below = [0] * high  # the prefix's ranks per depth
+    alive = [(1 << cls.n_concepts) - 1] + [0] * (high - 1)  # concepts left
+    start = [0] * high  # next pair index to try at each depth
     depth = 0
     while depth >= 0:
+        if depth >= high:  # high was lowered under this depth
+            depth = high - 1
+            continue
         j = start[depth]
         live = alive[depth]
-        if depth == m - 1:
+        head = heads[depth]
+        ranks = below[depth]
+        if depth == high - 1:
             # the last entry: every pair some live concept holds completes one
-            head = tuple(prefix)
             for k in range(j, n):
                 if live & masks[k]:
-                    yield new(head + tails[k])
-        else:
-            while j < n and not live & masks[j]:
-                j += 1
-            if j < n:
-                start[depth] = j + 1
-                prefix.append(pairs[j])
-                alive[depth + 1] = live & masks[j]
-                depth += 1
-                start[depth] = j
-                continue
-        depth -= 1
-        if prefix:
-            prefix.pop()
+                    sample = alloc(Sample)
+                    put(sample, head + tails[k])
+                    lowered = yield sample, ranks | bits[k]
+                    if lowered is not None:
+                        high = lowered
+                        yield None
+                        if depth >= high:
+                            break
+            depth -= 1
+            continue
+        while j < n and not live & masks[j]:
+            j += 1
+        if j == n:
+            depth -= 1
+            continue
+        start[depth] = j + 1
+        head += tails[j]
+        ranks |= bits[j]
+        if depth >= low - 1:
+            sample = alloc(Sample)
+            put(sample, head)
+            lowered = yield sample, ranks
+            if lowered is not None:
+                high = lowered
+                yield None
+                if depth >= high - 1:
+                    continue
+        depth += 1
+        heads[depth] = head
+        below[depth] = ranks
+        alive[depth] = live & masks[j]
+        start[depth] = j
+
+
+def enumerate_realizable_samples(cls: ConceptClass, m: int) -> Iterator[Sample]:
+    """Yield every realizable sample of size exactly m, in canonical order:
+    the samples of ``walk_realizable_samples(cls, m, m)``.
+
+    Samples are multisets; one realizable by several concepts is yielded
+    once.  The order is ascending lexicographic order of the sorted entry
+    tuples.  The stream is finite, deterministic and lazy, and holds O(m)
+    state beyond the class's pair index.
+    """
+    for sample, _ in walk_realizable_samples(cls, m, m):
+        yield sample
 
 
 def dual(cls: ConceptClass) -> ConceptClass:

@@ -17,7 +17,7 @@ from conceptlab.compression import (
     counting_bound,
     extract_disambiguation,
     list_coloring,
-    verify_scheme,
+    replay_scheme,
 )
 from conceptlab.constructions import (
     BicliquePartition,
@@ -179,7 +179,8 @@ def pipeline_certificate(
     bit_budget: int,
 ) -> PipelineReport:
     """Run the full chain on K_t with its star partition: verify the scheme
-    on the partial class at every sample size up to the support size,
+    on the partial class at every sample size up to the support size, all
+    sizes from one walk (``replay_scheme``) and read in ascending size,
     extract the disambiguation from the key space (subsamples of size <= k,
     bit strings of length <= bit_budget), and check
 
@@ -189,7 +190,8 @@ def pipeline_certificate(
     reported infeasible a priori and skip verification and extraction.  A
     scheme that fails verification, or breaks the contract
     (ContractViolationError), is reported invalid; any other exception it
-    raises propagates.
+    raises propagates.  As with one size at a time, the first size that is
+    not valid decides, and no larger size is checked after it.
 
     Past ``CHROMATIC_MAX_VERTICES`` vertices ``check_pipeline_size`` raises
     BudgetError before anything is built.  When extraction runs out of its
@@ -213,12 +215,16 @@ def pipeline_certificate(
     )
     if not report.feasible:
         return report
-    try:
-        scheme_valid = all(
-            verify_scheme(partial, scheme, m).valid is True for m in range(1, n + 1)
-        )
-    except ContractViolationError:
-        scheme_valid = False
+    scheme_valid = True
+    for outcome in replay_scheme(partial, scheme, 1, n):
+        if isinstance(outcome, ContractViolationError):
+            scheme_valid = False
+        elif isinstance(outcome, Exception):
+            raise outcome
+        else:
+            scheme_valid = outcome.valid is True
+        if not scheme_valid:
+            break
     if not scheme_valid:
         return dataclasses.replace(report, scheme_valid=False, ok=False)
     report = dataclasses.replace(report, scheme_valid=True)

@@ -431,6 +431,52 @@ def boosted_compress_reference(concepts, entries, subsample_size):
     return None
 
 
+class NotAConcept(Exception):
+    """``verify_reference`` met a reconstruction that is not a total
+    concept of non-negative int labels over the domain."""
+
+
+def verify_reference(concepts, m, compress, reconstruct, make_sample):
+    """Replay a scheme on every realizable size-m sample, one sample at a
+    time and one entry at a time, from the definition.
+
+    The samples are ``realizable_multisets`` over the labels the class uses,
+    sorted, each passed to ``compress`` as ``make_sample(entries)``.  A
+    sample fails at the point of the first key entry it does not contain
+    (a key may repeat an entry), or else at the first entry on which the
+    reconstruction disagrees.  Every reconstruction is checked, at every
+    sample, for being one non-negative int label per point; NotAConcept
+    when one is not.
+
+    Returns ``(valid, k_of_m, failures, samples_checked)``, where
+    ``failures`` lists ``(entries, index)`` in sample order and ``k_of_m``
+    is the largest max(|subsample|, |bits|) over all keys.
+    """
+    n = len(concepts[0])
+    labels = sorted({y for c in concepts for y in c if y != STAR})
+    k_of_m = 0
+    failures = []
+    checked = 0
+    for entries in sorted(realizable_multisets(concepts, m, labels)):
+        key = compress(make_sample(entries))
+        checked += 1
+        sub = key.subsample.entries
+        k_of_m = max(k_of_m, len(sub), len(key.bits))
+        missing = [i for i, y in sub if (i, y) not in entries]
+        if missing:
+            failures.append((entries, missing[0]))
+            continue
+        concept = reconstruct(key)
+        if len(concept) != n or not all(
+            isinstance(y, int) and not isinstance(y, bool) and y >= 0
+            for y in concept
+        ):
+            raise NotAConcept(f"{concept!r} for key {key!r}")
+        wrong = [i for i, y in entries if concept[i] != y]
+        if wrong:
+            failures.append((entries, wrong[0]))
+    return not failures, k_of_m, failures, checked
+
 
 class NodeBudgetExhausted(Exception):
     """``list_coloring_rescan`` tried more colors than its node budget."""

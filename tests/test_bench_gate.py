@@ -1,22 +1,27 @@
-"""The dim-search workload of ``perfbench/run.py`` pins the dimension and
-the witness digest of every instance in its corpus.  Running its gate here
-makes a checker change that alters any of them fail the test suite, not only
-the benchmark.  The traced run also fails when a layer the workload must
-reach (such as ``dimensions.vc_shatters``) is no longer called, or when its
-traced passes disagree on a count."""
+"""The dim-search and certify workloads of ``perfbench/run.py`` pin every
+answer of their corpus: the dimension and witness digest of each dim-search
+instance, and the exit code and stdout digest of each certify CLI run.
+Running their gates here makes a change that alters any of them fail the
+test suite, not only the benchmark.  The traced run also fails when a layer
+the workload must reach (such as ``dimensions.vc_shatters`` or
+``compression.verify_scheme``) is no longer called, or when its traced
+passes disagree on a count."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("dim-search", "certify")
 
 
-def run_dim_search(*flags):
-    """The last line of a dim-search run's output, parsed."""
+def run_gate(workload, *flags):
+    """The last line of a workload run's output, parsed."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "dim-search", *flags],
+        [sys.executable, "perfbench/run.py", "--workload", workload, *flags],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -26,11 +31,13 @@ def run_dim_search(*flags):
     return json.loads(proc.stdout.splitlines()[-1]), proc.stdout[-4000:]
 
 
-def test_dim_search_gate_is_correct():
-    result, tail = run_dim_search("--seconds", "0")
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_gate_is_correct(workload):
+    result, tail = run_gate(workload, "--seconds", "0")
     assert result["correct"] is True, tail
 
 
-def test_traced_dim_search_gate_is_correct():
-    result, tail = run_dim_search("--trace", "1")
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_gate_is_correct(workload):
+    result, tail = run_gate(workload, "--trace", "1")
     assert result["correct"] is True, tail

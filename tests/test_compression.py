@@ -21,6 +21,7 @@ from conceptlab.core import (
 from conceptlab.compression import (
     CompressionKey,
     CompressionScheme,
+    SchemeReport,
     TableScheme,
     _find_assignment,
     boosted_scheme,
@@ -28,6 +29,7 @@ from conceptlab.compression import (
     extract_disambiguation,
     list_coloring,
     min_compression_certificate,
+    replay_scheme,
     star_biclique_scheme,
     to_binary_class,
     verify_scheme,
@@ -210,6 +212,206 @@ class TestVerifyScheme:
         cls = haussler_long_class(4, 2, 1)
         assert verify_scheme(cls, boosted_scheme(cls), 4).valid
         assert calls and max(calls.values()) == 1
+
+
+def summary(outcome):
+    """A report's fields with failures as (entries, index), or an
+    exception's type."""
+    if isinstance(outcome, Exception):
+        return type(outcome)
+    failures = [(s.entries, i) for s, i in outcome.failures]
+    return outcome.valid, outcome.k_of_m, failures, outcome.samples_checked
+
+
+def one_size_at_a_time(cls, scheme, low, high):
+    """The summaries of ``verify_scheme`` at sizes low, low + 1, ... up to
+    and including the first that is not valid."""
+    out = []
+    for m in range(low, high + 1):
+        try:
+            report = verify_scheme(cls, scheme, m)
+        except Exception as exc:
+            out.append(type(exc))
+            break
+        out.append(summary(report))
+        if not report.valid:
+            break
+    return out
+
+
+def keep_first_then_first_agreeing(cls):
+    """A scheme that fails on many samples: keep the first entry, and
+    reconstruct the first concept agreeing with it, undefined points read
+    as label 0."""
+
+    def reconstruct(key):
+        live = cls.agreeing(key.subsample.entries)
+        concept = cls.concepts[(live & -live).bit_length() - 1]
+        return tuple(0 if y == STAR else y for y in concept)
+
+    return CompressionScheme(
+        "first-agreeing",
+        lambda s: CompressionKey(Sample(s.entries[:1]), ""),
+        reconstruct,
+    )
+
+
+class TestReplayEquivalence:
+    """``verify_scheme`` against the entry-by-entry reference in
+    ``oracles``, and ``replay_scheme`` over several sizes against
+    ``verify_scheme`` one size at a time."""
+
+    def assert_matches_reference(self, cls, scheme, sizes):
+        for m in sizes:
+            try:
+                expected = oracles.verify_reference(
+                    cls.concepts, m, scheme.compress, scheme.reconstruct, Sample
+                )
+            except oracles.NotAConcept:
+                with pytest.raises(ContractViolationError):
+                    verify_scheme(cls, scheme, m)
+                continue
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    verify_scheme(cls, scheme, m)
+                continue
+            valid, k_of_m, failures, checked = expected
+            report = verify_scheme(cls, scheme, m)
+            assert summary(report) == (valid, k_of_m, failures, checked), m
+        low, high = min(sizes), max(sizes)
+        replayed = replay_scheme(cls, scheme, low, high)
+        assert list(map(summary, replayed)) == one_size_at_a_time(
+            cls, scheme, low, high
+        )
+
+    def test_star_schemes_at_a_wrong_t(self):
+        cls = biclique_class(star_partition(5))
+        for t in (3, 4, 6):
+            self.assert_matches_reference(cls, star_biclique_scheme(t), [1, 2, 3])
+
+    def test_star_scheme_with_a_wrong_reconstruction(self):
+        # the right length, but vertex 1 is reconstructed as vertex 2
+        cls = biclique_class(star_partition(5))
+        star = star_biclique_scheme(5)
+        swapped = CompressionScheme(
+            "swapped",
+            star.compress,
+            lambda k: star.reconstruct(
+                CompressionKey(Sample(((2, 0),)), "")
+                if k.subsample.entries == ((1, 0),)
+                else k
+            ),
+        )
+        self.assert_matches_reference(cls, swapped, [1, 2, 3, 4])
+
+    def test_key_entry_absent_from_the_sample(self):
+        cls = haussler_long_class(3, 2, 1)
+        scheme = CompressionScheme(
+            "absent",
+            lambda s: CompressionKey(Sample(s.entries[:1] + ((1, 1),)), ""),
+            lambda k: (1, 1, 1),
+        )
+        self.assert_matches_reference(cls, scheme, [1, 2, 3])
+
+    def test_key_entry_with_a_label_the_class_never_uses(self):
+        cls = haussler_long_class(3, 2, 1)
+        scheme = CompressionScheme(
+            "unused-label",
+            lambda s: CompressionKey(
+                Sample(s.entries + ((2, 7),) if len(s) > 1 else s.entries), ""
+            ),
+            lambda k: (k.subsample.entries[0][1],) * 3,
+        )
+        self.assert_matches_reference(cls, scheme, [1, 2, 3])
+
+    def test_reconstruction_returned_as_a_list(self):
+        cls = biclique_class(star_partition(4))
+        star = star_biclique_scheme(4)
+        listed = CompressionScheme(
+            "listed", star.compress, lambda k: list(star.reconstruct(k))
+        )
+        self.assert_matches_reference(cls, listed, [1, 2, 3])
+        wrong = CompressionScheme("listed-wrong", star.compress, lambda k: [1, 1, 1])
+        self.assert_matches_reference(cls, wrong, [1, 2, 3])
+
+    def test_wrong_length_reconstruction(self):
+        # only the keys of size-3 samples reconstruct a short concept
+        cls = biclique_class(star_partition(4))
+        star = star_biclique_scheme(4)
+        scheme = CompressionScheme(
+            "short",
+            lambda s: CompressionKey(star.compress(s).subsample, "1" * (len(s) // 3)),
+            lambda k: (1, 1) if k.bits else star.reconstruct(k),
+        )
+        self.assert_matches_reference(cls, scheme, [1, 2, 3])
+
+    def test_first_agreeing_concept_on_random_classes(self):
+        rng = random.Random(20)
+        for _ in range(30):
+            cls = random_partial_class(rng, 4, 5, 3)
+            scheme = keep_first_then_first_agreeing(cls)
+            self.assert_matches_reference(cls, scheme, [1, 2, 3])
+
+    def test_boosted_on_hl_4_2_1(self):
+        cls = haussler_long_class(4, 2, 1)
+        self.assert_matches_reference(cls, boosted_scheme(cls), [1, 2, 3, 4, 5])
+
+    def test_min_compression_certificate_tables(self):
+        cases = [
+            (haussler_long_class(2, 2, 2), 2, 0),
+            (biclique_class(star_partition(4)), 3, 0),
+            (biclique_class(star_partition(4)), 2, 1),
+            (haussler_long_class(3, 2, 2), 3, 0),
+        ]
+        for cls, m, bits in cases:
+            _, table = min_compression_certificate(cls, m, bits)
+            # outside its own size the table raises RealizabilityError
+            self.assert_matches_reference(cls, table.as_scheme(), [m])
+            self.assert_matches_reference(cls, table.as_scheme(), [m - 1, m])
+
+    def test_an_invalid_concept_raises_again_at_every_size(self):
+        # key ((1, 0),) reconstructs no concept: a size-2 sample meets it
+        # first in the walk, and the size-1 sample ((1, 0),) must raise again
+        cls = tclass((0, 0), (1, 1), (0, 1))
+        scheme = CompressionScheme(
+            "half-valid",
+            lambda s: CompressionKey(Sample(s.entries[-1:]), ""),
+            lambda k: (0, STAR) if k.subsample.entries == ((1, 0),) else (0, 1),
+        )
+        replayed = replay_scheme(cls, scheme, 1, 2)
+        assert list(map(summary, replayed)) == [ContractViolationError]
+        self.assert_matches_reference(cls, scheme, [1, 2])
+
+    def test_reconstruct_runs_once_per_distinct_key(self):
+        calls = collections.Counter()
+        star = star_biclique_scheme(6)
+
+        def reconstruct(key):
+            calls[key] += 1
+            return star.reconstruct(key)
+
+        cls = biclique_class(star_partition(6))
+        scheme = CompressionScheme("counted", star.compress, reconstruct)
+        outcomes = replay_scheme(cls, scheme, 1, 5)
+        assert [r.valid for r in outcomes] == [True] * 5
+        assert set(calls.values()) == {1}
+        assert len(calls) == 2 * 5  # one key per defined (part, label) pair
+
+    def test_budget_decides_its_own_size(self):
+        cls = haussler_long_class(4, 2, 1)
+        scheme = boosted_scheme(cls)
+        replayed = replay_scheme(cls, scheme, 1, 3, sample_budget=20)
+        assert [type(o) for o in replayed[:-1]] == [SchemeReport]
+        assert isinstance(replayed[-1], BudgetError)
+        with pytest.raises(BudgetError) as info:
+            verify_scheme(cls, scheme, 2, sample_budget=20)
+        assert replayed[-1].report == info.value.report
+
+    def test_sizes_below_1_are_refused_and_an_empty_range_is_empty(self):
+        cls = tclass((0,) * 60)
+        with pytest.raises(ValueError, match="at least 1"):
+            replay_scheme(cls, constant_scheme((0,) * 60), 0, 8)
+        assert replay_scheme(cls, constant_scheme((0,) * 60), 2, 1) == []
 
 
 class TestReconstructionCheck:

@@ -9,10 +9,12 @@ import pytest
 import oracles
 from helpers import min_compression_size
 from conceptlab.compression import (
+    CompressionKey,
     CompressionScheme,
     counting_bound,
     min_compression_certificate,
     star_biclique_scheme,
+    verify_scheme,
 )
 from conceptlab.constructions import (
     Graph,
@@ -21,7 +23,8 @@ from conceptlab.constructions import (
     star_partition,
     unique_label_disambiguation,
 )
-from conceptlab.errors import BudgetError
+from conceptlab.core import STAR, Sample
+from conceptlab.errors import BudgetError, ContractViolationError, RealizabilityError
 from conceptlab.lowerbound import (
     Coloring,
     chromatic_number,
@@ -190,3 +193,121 @@ class TestPipelineCertificate:
         broken = CompressionScheme("broken", compress, star.reconstruct)
         with pytest.raises(ValueError, match="bug"):
             pipeline_certificate(4, broken, 1, 1)
+
+
+def one_size_at_a_time(t, scheme):
+    """``scheme_valid`` as the pipeline decided it one size at a time:
+    every size valid in ascending order, a contract violation counting as
+    invalid and any other exception propagating."""
+    partial = biclique_class(star_partition(t))
+    try:
+        return all(
+            verify_scheme(partial, scheme, m).valid is True for m in range(1, t)
+        )
+    except ContractViolationError:
+        return False
+
+
+def logged(compress, log, raises=None, rogue=None):
+    """A compress that logs the entries of every sample it is given, raises
+    ``raises[key]`` on a sample whose size or entries are the key, and
+    returns the key ``rogue[entries]`` (an entry the sample lacks) on the
+    sample with those entries."""
+    raises = raises or {}
+    rogue = rogue or {}
+
+    def wrapped(sample):
+        log.append(sample.entries)
+        for key in (len(sample), sample.entries):
+            if key in raises:
+                raise raises[key]
+        if sample.entries in rogue:
+            return CompressionKey(Sample(rogue[sample.entries]), "")
+        return compress(sample)
+
+    return wrapped
+
+
+class TestPipelineSizeSemantics:
+    """``pipeline_certificate`` replays sizes 1..n from one walk, in which a
+    larger sample can come before a smaller one; its answer must be the one
+    that checking one size at a time, in ascending order, gives.  On K_4
+    the walk starts ((0, 0),), ((0, 0), (0, 0)), ((0, 0),) * 3, ..., and the
+    size-1 sample ((1, 1),) comes after several larger ones."""
+
+    STAR4 = star_biclique_scheme(4)
+
+    def scheme(self, log, **kwargs):
+        return CompressionScheme(
+            "hand-made", logged(self.STAR4.compress, log, **kwargs),
+            self.STAR4.reconstruct,
+        )
+
+    def test_failure_at_size_1_beats_an_exception_at_size_2(self):
+        log = []
+        scheme = self.scheme(
+            log, raises={2: RuntimeError("size 2")}, rogue={((1, 1),): ((0, 0),)}
+        )
+        assert one_size_at_a_time(4, scheme) is False
+        log.clear()
+        report = pipeline_certificate(4, scheme, 1, 1)
+        assert report.scheme_valid is False and not report.ok
+        # the size-2 exception came first in the walk
+        assert log[1] == ((0, 0), (0, 0))
+
+    def test_exception_at_size_2_beats_a_failure_at_size_3(self):
+        log = []
+        late = ((1, 1), (2, 0))
+        scheme = self.scheme(
+            log,
+            raises={late: ValueError("size 2")},
+            rogue={((0, 0),) * 3: ((1, 1),)},
+        )
+        with pytest.raises(ValueError, match="size 2"):
+            one_size_at_a_time(4, scheme)
+        log.clear()
+        with pytest.raises(ValueError, match="size 2"):
+            pipeline_certificate(4, scheme, 1, 1)
+        # the size-3 failure came first in the walk
+        assert log.index(((0, 0),) * 3) < log.index(late)
+
+    def test_contract_violation_at_size_2_is_a_verdict(self):
+        star = self.STAR4
+
+        def compress(sample):
+            key = star.compress(sample)
+            return CompressionKey(key.subsample, "1" if len(sample) == 2 else "")
+
+        def reconstruct(key):
+            return (STAR,) * 3 if key.bits else star.reconstruct(key)
+
+        scheme = CompressionScheme("hand-made", compress, reconstruct)
+        assert one_size_at_a_time(4, scheme) is False
+        report = pipeline_certificate(4, scheme, 1, 1)
+        assert report.scheme_valid is False and not report.ok
+
+    def test_no_larger_sample_is_compressed_after_a_failure(self):
+        log = []
+        scheme = self.scheme(log, rogue={((1, 1),): ((0, 0),)})
+        assert one_size_at_a_time(4, scheme) is False
+        log.clear()
+        assert pipeline_certificate(4, scheme, 1, 1).scheme_valid is False
+        after = log[log.index(((1, 1),)) + 1 :]
+        assert after and all(len(entries) == 1 for entries in after)
+        assert any(len(entries) > 1 for entries in log[: log.index(((1, 1),))])
+
+    def test_table_scheme_of_one_size_is_invalid_at_the_others(self):
+        # a table for size 1 raises RealizabilityError at size 2: the
+        # pipeline propagates it, as one size at a time does
+        cls = biclique_class(star_partition(3))
+        _, table = min_compression_certificate(cls, 1, 1)
+        with pytest.raises(RealizabilityError):
+            one_size_at_a_time(3, table.as_scheme())
+        with pytest.raises(RealizabilityError):
+            pipeline_certificate(3, table.as_scheme(), 1, 1)
+
+    def test_valid_schemes_agree_with_one_size_at_a_time(self):
+        for t in (2, 3, 4, 5, 6):
+            scheme = star_biclique_scheme(t)
+            assert one_size_at_a_time(t, scheme) is True
+            assert pipeline_certificate(t, scheme, 1, 1).scheme_valid is True
