@@ -15,7 +15,6 @@ from conceptlab.core import (
     dumps_class,
     enumerate_realizable_samples,
     loads_class,
-    restrict,
     union_disjoint,
 )
 from conceptlab.dimensions import (

@@ -44,6 +44,7 @@ from conceptlab.core import (
     dumps_class,
     is_nonnegative_int,
     loads_class,
+    parse_json,
     union_disjoint,
 )
 from conceptlab.dimensions import ShatterKind, dimension
@@ -183,7 +184,7 @@ def _make_scheme(
         return star_biclique_scheme(cls.domain_size + 1)
     if spec.startswith("file:"):
         path = spec[len("file:") :]
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = parse_json(Path(path).read_text(encoding="utf-8"))
         return TableScheme.from_json(data).as_scheme(name=path)
     raise ValueError(f"unknown scheme {spec!r} (use boosted, star, or file:PATH)")
 
@@ -320,7 +321,7 @@ def _report_from_json(raw: object) -> SchemeReport:
 def _report(args: argparse.Namespace) -> int:
     reports: list[SchemeReport] = []
     for path in args.files:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = parse_json(Path(path).read_text(encoding="utf-8"))
         raws = data.get("reports") if isinstance(data, dict) else None
         if not isinstance(raws, list):
             raise ValueError(f"{path}: 'reports' must be an array")

@@ -293,12 +293,13 @@ class TableScheme:
     default_concept: tuple[int, ...]
 
     def as_scheme(self, name: str = "table") -> CompressionScheme:
-        compress_map = dict(self.compress_table)
+        # keyed by the entries, which hash and compare as a plain tuple
+        compress_map = {sample.entries: key for sample, key in self.compress_table}
         reconstruct_map = dict(self.reconstruct_table)
 
         def compress(sample: Sample) -> CompressionKey:
             try:
-                return compress_map[sample]
+                return compress_map[sample.entries]
             except KeyError:
                 raise RealizabilityError(
                     f"sample {sample.entries} is outside the compression table"
@@ -596,69 +597,141 @@ KEY_LIST_BUDGET = 5_000_000
 """Most key ids ``_find_assignment`` lists over all samples of one k-level."""
 
 
-def _find_assignment(
-    samples: Sequence[Sample],
-    k: int,
-    bit_budget: int,
-    *,
-    node_budget: Optional[int] = None,
-) -> Optional[dict[Sample, CompressionKey]]:
-    """A key assignment whose same-key groups are pairwise conflict-free,
-    or None when exhaustive search rules one out.
+class _KeySpace:
+    """The key-search state of one list of samples: built once, and grown
+    one k-level at a time by ``_find_assignment``.
 
-    A group is served by a single reconstruction, so two samples may share a
-    key only if they never disagree on a shared domain point; pairwise
-    agreement then makes the whole group consistent.  That is a list
-    coloring: the samples are the vertices, a sample's keys (sub-multisets
-    of at most k entries, each with a bit string of at most ``bit_budget``
-    bits) are its list, and samples that disagree conflict.
-    ``list_coloring`` does the search; BudgetError after ``node_budget``
-    nodes, or before any list is built when the lists would hold more than
-    ``KEY_LIST_BUDGET`` key ids.
+    ``conflicts[v]`` is the int bitset of the samples that disagree with
+    sample v on a shared point; no level changes it.  At level k, a sample's
+    keys are its distinct sub-multisets of at most k entries, each with one
+    of the bit strings ``bitstrings``.  ``subs`` holds every sub-multiset
+    that some sample lists, ascending, and ``lists[v]`` sample v's key ids,
+    ascending, where key id = rank in ``subs`` * ``len(bitstrings)`` + bit
+    string rank, so that ascending ids are the candidate order (sub-multiset,
+    then bits).  A new space stands at level 0; BudgetError when even that
+    level would list more than ``KEY_LIST_BUDGET`` key ids.
     """
-    # Keys that differ only in their bits are listed by exactly the same
-    # samples, so list_coloring puts them in one interchangeable class.  It
-    # opens the colors of a class in ascending order and never more of them
-    # than there are samples, so no bit string past the first len(samples)
-    # is ever tried: listing only those changes no coloring it finds.
-    bitstrings = list(itertools.islice(_bitstrings(bit_budget), len(samples)))
-    subs_of = [sorted([(), *_sub_multisets(s.entries, k)]) for s in samples]
-    width = len(bitstrings)
-    listed = width * sum(map(len, subs_of))
+
+    def __init__(self, samples: Sequence[Sample], bit_budget: int) -> None:
+        self.samples = samples
+        # Keys that differ only in their bits are listed by exactly the same
+        # samples, so list_coloring puts them in one interchangeable class.
+        # It opens the colors of a class in ascending order and never more
+        # of them than there are samples, so no bit string past the first
+        # len(samples) is ever tried: listing only those changes no coloring
+        # it finds.
+        self.bitstrings = list(
+            itertools.islice(_bitstrings(bit_budget), len(samples))
+        )
+        # level 0: each sample lists the empty sub-multiset, with every bit
+        # string
+        width = len(self.bitstrings)
+        _check_key_lists(width * len(samples))
+        self.level = 0
+        self.subs: list[tuple[tuple[int, int], ...]] = [()]
+        self.lists = [list(range(width)) for _ in samples]
+        self.conflicts = _conflict_rows(samples)
+
+    def grow(self) -> None:
+        """Extend every list from the current level to the next: each
+        sample adds its distinct size-(level + 1) sub-multisets.
+        BudgetError, before anything changes, when the lists would then
+        hold more than ``KEY_LIST_BUDGET`` key ids."""
+        size = self.level + 1
+        # repeated entries repeat combinations; keep the first of each
+        added = [
+            dict.fromkeys(itertools.combinations(s.entries, size))
+            for s in self.samples
+        ]
+        width = len(self.bitstrings)
+        _check_key_lists(sum(map(len, self.lists)) + width * sum(map(len, added)))
+        # the added sub-multisets are longer than every listed one, so
+        # they are new; merging keeps ``subs`` ascending, and the ids of
+        # the listed ones move up past the added ones below them
+        subs = self.subs + sorted(set().union(*added))
+        subs.sort()
+        ids_of = {sub: range(r * width, (r + 1) * width) for r, sub in enumerate(subs)}
+        flat = itertools.chain.from_iterable
+        move = list(flat(map(ids_of.__getitem__, self.subs))).__getitem__
+        lists = []
+        for old, new in zip(self.lists, added):
+            ids = [*map(move, old), *flat(map(ids_of.__getitem__, new))]
+            ids.sort()  # two ascending runs: one merge
+            lists.append(ids)
+        self.lists = lists
+        self.subs = subs
+        self.level = size
+
+
+def _check_key_lists(listed: int) -> None:
     if listed > KEY_LIST_BUDGET:
         raise BudgetError(
             f"key lists of {listed} ids exceed the key-list budget of "
             f"{KEY_LIST_BUDGET}"
         )
-    # key id = sub-multiset rank * |bit strings| + bit string rank, so that
-    # ascending ids are the candidate order (sub-multiset, then bits)
-    sub_ids = {sub: i for i, sub in enumerate(sorted(set().union(*subs_of)))}
-    lists = [
-        [sub_ids[sub] * width + j for sub in subs for j in range(width)]
-        for subs in subs_of
-    ]
-    at_point: dict[int, int] = {}
+
+
+def _conflict_rows(samples: Sequence[Sample]) -> list[int]:
+    """``rows[v]``: the OR, over the entries (i, y) of sample v, of the int
+    bitset of the samples holding point i XOR that of those holding (i, y).
+    For realizable samples, which hold one label per point, that is the
+    samples holding a point of sample v with another label."""
     at_entry: dict[tuple[int, int], int] = {}
     for v, sample in enumerate(samples):
         bit = 1 << v
-        for i, y in sample.entries:
-            at_point[i] = at_point.get(i, 0) | bit
-            at_entry[i, y] = at_entry.get((i, y), 0) | bit
-    conflicts = []
+        for entry in sample.entries:
+            at_entry[entry] = at_entry.get(entry, 0) | bit
+    at_point: dict[int, int] = {}
+    for (i, _), holding in at_entry.items():
+        at_point[i] = at_point.get(i, 0) | holding
+    other = {
+        entry: at_point[entry[0]] ^ holding for entry, holding in at_entry.items()
+    }
+    rows = []
     for sample in samples:
         row = 0
-        for i, y in sample.entries:
-            row |= at_point[i] ^ at_entry[i, y]
-        conflicts.append(row)
-    colors = list_coloring(lists, conflicts, node_budget=node_budget)
+        for entry in sample.entries:
+            row |= other[entry]
+        rows.append(row)
+    return rows
+
+
+def _find_assignment(
+    keys: _KeySpace,
+    k: int,
+    *,
+    node_budget: Optional[int] = None,
+) -> Optional[dict[Sample, CompressionKey]]:
+    """A key assignment for the samples of ``keys`` whose same-key groups
+    are pairwise conflict-free, or None when exhaustive search rules one
+    out.
+
+    A group is served by a single reconstruction, so two samples may share a
+    key only if they never disagree on a shared domain point; pairwise
+    agreement then makes the whole group consistent.  That is a list
+    coloring: the samples are the vertices, a sample's keys (sub-multisets
+    of at most k entries, each with a bit string of at most the space's
+    bit budget) are its list, and samples that disagree conflict.  The
+    conflict rows are the space's; its lists are grown from their level up
+    to k, so ``keys`` must not already stand above k.  ``list_coloring``
+    does the search; BudgetError after ``node_budget`` nodes, or before a
+    level is grown when its lists would hold more than ``KEY_LIST_BUDGET``
+    key ids.
+    """
+    if k < keys.level:
+        raise ValueError(f"key lists already grown to {keys.level} > {k}")
+    while keys.level < k:
+        keys.grow()
+    bitstrings = keys.bitstrings
+    width = len(bitstrings)
+    colors = list_coloring(keys.lists, keys.conflicts, node_budget=node_budget)
     if colors is None:
         return None
-    subs_by_id = list(sub_ids)
-    keys: dict[int, CompressionKey] = {}
+    found: dict[int, CompressionKey] = {}
     for c in set(colors):
         sub, j = divmod(c, width)
-        keys[c] = CompressionKey(Sample._canonical(subs_by_id[sub]), bitstrings[j])
-    return {sample: keys[c] for sample, c in zip(samples, colors)}
+        found[c] = CompressionKey(Sample._canonical(keys.subs[sub]), bitstrings[j])
+    return {sample: found[c] for sample, c in zip(keys.samples, colors)}
 
 
 def _assignment_to_table(
@@ -667,7 +740,7 @@ def _assignment_to_table(
     groups: dict[CompressionKey, dict[int, int]] = {}
     for sample, key in assignment.items():
         group = groups.setdefault(key, {})
-        group.update(sample.content())
+        group.update(sample.entries)
     default = (0,) * cls.domain_size
     reconstruct_table = tuple(
         (key, tuple(content.get(i, 0) for i in range(cls.domain_size)))
@@ -698,6 +771,9 @@ def min_compression_certificate(
     Determined by exact search over key assignments, one k-level at a time
     from 0 (``_find_assignment``): samples sharing a key must be pairwise
     conflict-free because one total reconstruction must serve them all.
+    The conflict graph does not depend on k, so it is built once per call
+    (``_KeySpace``), and each level only extends the key lists of the one
+    before it with the samples' size-k sub-multisets.
     The answer is at most m: keeping the whole sample (no bits) is a valid
     size-m assignment, since every sample is its own key and no other
     sample of size m lists that key.
@@ -719,28 +795,25 @@ def min_compression_certificate(
                 f"more than {SAMPLE_BUDGET} realizable samples of size {m}"
             )
     refuted: list[int] = []
-    for k in range(m + 1):
-        try:
-            assignment = _find_assignment(
-                samples, k, bit_budget, node_budget=node_budget
-            )
-        except BudgetError as exc:
-            raise BudgetError(
-                f"{exc} at k={k}; refuted k-levels: {refuted}",
-                report={
-                    "m": m,
-                    "bit_budget": bit_budget,
-                    "k": k,
-                    "refuted": list(refuted),
-                },
-            ) from None
-        if assignment is not None:
-            return k, _assignment_to_table(cls, assignment)
-        refuted.append(k)
-    raise AssertionError(
-        f"k = m = {m} keeps every sample whole and is always feasible, yet "
-        f"the search refuted k-levels {refuted}"
-    )
+    try:
+        keys = _KeySpace(samples, bit_budget)
+        for k in range(m + 1):
+            assignment = _find_assignment(keys, k, node_budget=node_budget)
+            if assignment is not None:
+                break
+            refuted.append(k)
+    except BudgetError as exc:
+        k = len(refuted)
+        raise BudgetError(
+            f"{exc} at k={k}; refuted k-levels: {refuted}",
+            report={"m": m, "bit_budget": bit_budget, "k": k, "refuted": refuted},
+        ) from None
+    if assignment is None:
+        raise AssertionError(
+            f"k = m = {m} keeps every sample whole and is always feasible, "
+            f"yet the search refuted k-levels {refuted}"
+        )
+    return k, _assignment_to_table(cls, assignment)
 
 
 # --- compression implies disambiguation --------------------------------------

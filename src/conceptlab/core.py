@@ -9,8 +9,7 @@ The data model is deliberately small:
   finite domain,
 * a Sample is a canonicalized (sorted) multiset of (index, label) entries,
 * ``ConceptClass.holders`` maps each defined (point, label) pair to the int
-  bitset of the concepts holding it; every consistency question reads it,
-* ``restrict`` returns the frozenset of patterns on an index sequence.
+  bitset of the concepts holding it; every consistency question reads it.
 
 Everything is immutable after construction; all operations are pure and safe
 for concurrent use on shared values.
@@ -212,20 +211,6 @@ def _pattern_sort_key(pattern: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((1, 0) if v == STAR else (0, v) for v in pattern)
 
 
-def restrict(
-    cls: ConceptClass, indices: Sequence[int]
-) -> frozenset[tuple[int, ...]]:
-    """Distinct label vectors of the class on the given index sequence.
-
-    Indices may repeat (the column repeats with them); STAR entries are
-    preserved.
-    """
-    indices = tuple(indices)
-    for i in indices:
-        cls.check_index(i)
-    return frozenset(cls.project(indices))
-
-
 def walk_realizable_samples(
     cls: ConceptClass, low: int, high: int
 ) -> Generator[tuple[Sample, int], Optional[int], None]:
@@ -238,7 +223,9 @@ def walk_realizable_samples(
     concepts holding each pair, and drops a prefix as soon as no concept is
     left.  A sample comes right after the prefix it extends, so the samples
     of any one size come in canonical order (ascending sorted entry tuples),
-    each multiset once.  Beyond that index the walk holds O(high) state.
+    each multiset once.  Beyond that index the walk holds O(high) state:
+    the pairs picked so far are one list, cut back on backtrack, and a
+    sample's tuple is built only when it is yielded.
 
     ``walk.send(h)`` (which returns None) lowers ``high`` to h, with
     low <= h, for the rest of the walk: no sample larger than h comes after
@@ -256,7 +243,7 @@ def walk_realizable_samples(
     n = len(pairs)
     alloc = object.__new__
     put = Sample.entries.__set__  # ``Sample._canonical``, inlined
-    heads: list[tuple[tuple[int, int], ...]] = [()] * high  # prefix per depth
+    prefix: list[tuple[int, int]] = []  # the pair picked at each depth above
     below = [0] * high  # the prefix's ranks per depth
     alive = [(1 << cls.n_concepts) - 1] + [0] * (high - 1)  # concepts left
     start = [0] * high  # next pair index to try at each depth
@@ -265,12 +252,13 @@ def walk_realizable_samples(
         if depth >= high:  # high was lowered under this depth
             depth = high - 1
             continue
+        del prefix[depth:]
         j = start[depth]
         live = alive[depth]
-        head = heads[depth]
         ranks = below[depth]
         if depth == high - 1:
             # the last entry: every pair some live concept holds completes one
+            head = tuple(prefix)
             for k in range(j, n):
                 if live & masks[k]:
                     sample = alloc(Sample)
@@ -289,11 +277,11 @@ def walk_realizable_samples(
             depth -= 1
             continue
         start[depth] = j + 1
-        head += tails[j]
+        prefix.append(pairs[j])
         ranks |= bits[j]
         if depth >= low - 1:
             sample = alloc(Sample)
-            put(sample, head)
+            put(sample, tuple(prefix))
             lowered = yield sample, ranks
             if lowered is not None:
                 high = lowered
@@ -301,7 +289,6 @@ def walk_realizable_samples(
                 if depth >= high - 1:
                     continue
         depth += 1
-        heads[depth] = head
         below[depth] = ranks
         alive[depth] = live & masks[j]
         start[depth] = j
@@ -430,8 +417,18 @@ def dumps_class(cls: ConceptClass) -> str:
     return json.dumps(class_to_json(cls), indent=2) + "\n"
 
 
+def parse_json(text: str) -> object:
+    """``json.loads``, except that text nested past the parser's recursion
+    limit is a ValueError, as other malformed JSON is.  Every file the
+    package reads goes through it."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def loads_class(text: str) -> ConceptClass:
-    return class_from_json(json.loads(text))
+    return class_from_json(parse_json(text))
 
 
 def sample_to_json(sample: Sample) -> list[list[int]]:

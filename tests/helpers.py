@@ -2,6 +2,8 @@
 not.  Unlike ``oracles``, these reuse the package: each is a shorthand for
 a few public calls, not an independent reference."""
 
+from typing import Sequence
+
 from conceptlab.compression import min_compression_certificate, verify_scheme
 from conceptlab.core import ConceptClass, Sample, dual
 from conceptlab.dimensions import ShatterKind, dimension
@@ -14,6 +16,18 @@ def is_realizable(cls: ConceptClass, sample: Sample) -> bool:
     for index, _ in sample.entries:
         cls.check_index(index)
     return cls.agreeing(sample.entries) != 0
+
+
+def restrict(
+    cls: ConceptClass, indices: Sequence[int]
+) -> frozenset[tuple[int, ...]]:
+    """Distinct label vectors of the class on the given index sequence, its
+    indices checked first.  Indices may repeat (the column repeats with
+    them); STAR entries are preserved."""
+    indices = tuple(indices)
+    for i in indices:
+        cls.check_index(i)
+    return frozenset(cls.project(indices))
 
 
 def dual_dimension(cls: ConceptClass, kind: ShatterKind) -> int:

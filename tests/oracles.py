@@ -357,6 +357,53 @@ def min_compression_bruteforce(concepts, m, k, bits):
     return None
 
 
+def key_search_inputs(samples, k, bits):
+    """The key lists and conflict rows of the level-k key search over the
+    samples (sorted tuples of (point, label) entries), built from scratch.
+
+    A sample's keys are its distinct sub-multisets of at most k entries,
+    each with one of the first len(samples) bit strings of length at most
+    ``bits`` (shortest first, then lexicographic).  Key id = the rank of the
+    sub-multiset among every sample's, sorted, times the number of bit
+    strings, plus the bit string's rank.  Row v has bit u set when samples
+    u and v hold some point with different labels.
+    """
+    strings = list(itertools.islice(
+        (
+            "".join(word)
+            for length in range(bits + 1)
+            for word in itertools.product("01", repeat=length)
+        ),
+        len(samples),
+    ))
+    subs_of = [
+        sorted({
+            sub
+            for size in range(k + 1)
+            for sub in itertools.combinations(entries, size)
+        })
+        for entries in samples
+    ]
+    rank = {sub: r for r, sub in enumerate(sorted(set().union(*subs_of)))}
+    lists = [
+        [rank[sub] * len(strings) + j for sub in subs for j in range(len(strings))]
+        for subs in subs_of
+    ]
+    holders = {}  # point -> label -> the samples holding that entry
+    for v, entries in enumerate(samples):
+        for i, y in entries:
+            holders.setdefault(i, {}).setdefault(y, set()).add(v)
+    rows = [0] * len(samples)
+    for by_label in holders.values():
+        for y, these in by_label.items():
+            for z, those in by_label.items():
+                if y != z:
+                    for v in these:
+                        for u in those:
+                            rows[v] |= 1 << u
+    return lists, rows
+
+
 def boosted_compress_reference(concepts, entries, subsample_size):
     """The boosted scheme's key for a sample, straight from its definition:
     AdaBoost.M1 with edge 1/8 over ``Fraction`` weights normalised every

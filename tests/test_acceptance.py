@@ -15,6 +15,7 @@ import oracles
 from helpers import dual_dimension, min_compression_size
 from conceptlab.cli import report_table
 from conceptlab.compression import (
+    _KeySpace,
     _find_assignment,
     boosted_scheme,
     counting_bound,
@@ -189,14 +190,14 @@ def test_criterion_09_exact_compression_oracle():
         assert k == 1
         assert verify_scheme(two_constants, table.as_scheme(), 2).valid
         samples = list(enumerate_realizable_samples(two_constants, 2))
-        assert _find_assignment(samples, 0, 0) is None
+        assert _find_assignment(_KeySpace(samples, 0), 0) is None
         assert brute(two_constants.concepts, 2, 1, 0) == 1
 
         cube = haussler_long_class(2, 2, 2)
         k, table = min_compression_certificate(cube, 2, 0)
         replay = verify_scheme(cube, table.as_scheme(), 2)
         cube_samples = list(enumerate_realizable_samples(cube, 2))
-        refuted_below = _find_assignment(cube_samples, 0, 0) is None
+        refuted_below = _find_assignment(_KeySpace(cube_samples, 0), 0) is None
         oracle_k0 = brute(cube.concepts, 2, 0, 0)
         oracle_k1 = brute(cube.concepts, 2, 1, 0)
         print(

@@ -818,6 +818,107 @@ class TestOversizedInputs:
         assert certs[30].read_text() == certs[b].read_text()
 
 
+class TestDeeplyNestedJson:
+    """A file nested past the JSON parser's recursion limit is a usage
+    error at every entry that reads one: exit 2, one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "--class", "{deep}", "--kind", "vc"],
+            ["verify-compression", "--class", "{deep}", "--m", "1"],
+            ["min-compression", "--class", "{deep}", "--m", "1", "--bits", "0"],
+            ["extract-disambiguation", "--class", "{deep}", "--k", "1",
+             "--bits", "0"],
+            ["verify-compression", "--class", "{one}", "--scheme",
+             "file:{deep}", "--m", "1"],
+            ["report", "{deep}"],
+        ],
+        ids=["dim", "verify-compression", "min-compression",
+             "extract-disambiguation", "scheme-file", "report"],
+    )
+    def test_exits_2_with_a_one_line_usage_error(self, tmp_path, argv):
+        files = {"deep": tmp_path / "deep.json", "one": tmp_path / "one.json"}
+        files["deep"].write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        files["one"].write_text(
+            dumps_class(ConceptClass(1, ((0,),), ClassKind.TOTAL)),
+            encoding="utf-8",
+        )
+        proc = _run_limited([arg.format(**files) for arg in argv])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_a_recursion_error_from_package_code_stays_visible(
+        self, tmp_path, monkeypatch
+    ):
+        from conceptlab import cli
+
+        def recursing(cls, kind):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "dimension", recursing)
+        cls_file = tmp_path / "one.json"
+        cls_file.write_text(
+            dumps_class(ConceptClass(1, ((0,),), ClassKind.TOTAL)),
+            encoding="utf-8",
+        )
+        with pytest.raises(RecursionError):
+            run_cli("dim", "--class", str(cls_file), "--kind", "vc")
+
+
+PEAK_RSS_CHILD = """
+import re, resource, sys
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from conceptlab.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1), file=sys.stderr)
+sys.exit(code)
+"""
+"""Runs the CLI under 1 GB of address space, which the child sets on
+itself, and prints its peak resident set in kB as the last line of stderr
+(VmHWM: unlike ``ru_maxrss``, it does not count the parent's pages from
+before the exec)."""
+
+
+class TestLongSamples:
+    """The sample walk holds O(m) state: m = 100,000 on a one-point,
+    one-concept class (one sample of 100,000 entries) answers in a child
+    whose peak resident set stays under 50 MB."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min-compression", "--class", "{one}", "--m", "100000",
+             "--bits", "0"],
+            ["verify-compression", "--class", "{one}", "--scheme", "boosted",
+             "--m", "100000"],
+        ],
+        ids=["min-compression", "verify-compression-boosted"],
+    )
+    def test_m_100000_stays_under_50_mb(self, tmp_path, argv):
+        one = tmp_path / "one.json"
+        one.write_text(
+            dumps_class(ConceptClass(1, ((0,),), ClassKind.TOTAL)),
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CHILD,
+             *[arg.format(one=one) for arg in argv]],
+            capture_output=True,
+            text=True,
+            env=SUBPROCESS_ENV,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        peak_kb = int(proc.stderr.split()[-1])
+        assert peak_kb < 50 * 1024, peak_kb
+
+
 def _loads_unlimited(text):
     """JSON with ints of any length: the interpreter's int-to-string digit
     limit (Python 3.11 on) is lifted while the text is parsed."""

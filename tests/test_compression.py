@@ -23,6 +23,7 @@ from conceptlab.compression import (
     CompressionScheme,
     SchemeReport,
     TableScheme,
+    _KeySpace,
     _find_assignment,
     boosted_scheme,
     counting_bound,
@@ -537,6 +538,101 @@ class TestListColoring:
             assert_same_search(lists, conflicts)
 
 
+def record_key_search(monkeypatch, cls, m, bits):
+    """The (lists, conflicts) of every list_coloring call that
+    ``min_compression_certificate`` makes, one per k-level from 0, and the
+    realizable samples as entry tuples."""
+    calls = []
+
+    def recording(lists, conflicts, *, node_budget=None):
+        calls.append(([list(ids) for ids in lists], list(conflicts)))
+        return list_coloring(lists, conflicts, node_budget=node_budget)
+
+    monkeypatch.setattr(compression, "list_coloring", recording)
+    k, _ = min_compression_certificate(cls, m, bits)
+    assert len(calls) == k + 1
+    samples = [s.entries for s in enumerate_realizable_samples(cls, m)]
+    return calls, samples
+
+
+class TestKeySpace:
+    """The lists and conflicts that list_coloring receives at every level
+    equal a from-scratch build of that level."""
+
+    @pytest.mark.parametrize(
+        "cls, m, bits",
+        [
+            (haussler_long_class(2, 2, 2), 2, 0),
+            (biclique_class(star_partition(4)), 3, 0),
+            (biclique_class(star_partition(4)), 3, 1),
+            (haussler_long_class(3, 2, 2), 4, 0),
+            (haussler_long_class(3, 2, 2), 3, 0),
+            (biclique_class(star_partition(5)), 4, 0),
+            (biclique_class(star_partition(5)), 4, 1),
+            (haussler_long_class(5, 3, 2), 3, 0),
+            (haussler_long_class(3, 3, 2), 2, 0),
+            (ConceptClass(12, ((0,) * 12,), ClassKind.TOTAL), 4, 0),
+        ],
+        ids=[
+            "cube-m2", "biclique-4-m3", "biclique-4-m3-bits1", "hl-3-2-2-m4",
+            "hl-3-2-2-m3", "biclique-5-m4", "biclique-5-m4-bits1",
+            "hl-5-3-2-m3", "hl-3-3-2-m2", "one-concept-12-m4",
+        ],
+    )
+    def test_levels_match_from_scratch_build_on_certify_classes(
+        self, monkeypatch, cls, m, bits
+    ):
+        calls, samples = record_key_search(monkeypatch, cls, m, bits)
+        for k, call in enumerate(calls):
+            assert call == oracles.key_search_inputs(samples, k, bits), k
+
+    def test_levels_match_from_scratch_build_on_random_partial_classes(
+        self, monkeypatch
+    ):
+        rng = random.Random(2121)
+        cases = repeated = 0
+        while cases < 30:
+            n = rng.randrange(2, 5)
+            rows = {
+                tuple(
+                    STAR if rng.random() < 0.3 else rng.randrange(3)
+                    for _ in range(n)
+                )
+                for _ in range(rng.randrange(2, 6))
+            }
+            rows = sorted(r for r in rows if any(v != STAR for v in r))
+            if not rows:
+                continue
+            cls = ConceptClass(n, tuple(rows), ClassKind.PARTIAL)
+            m, bits = rng.randrange(2, 4), rng.randrange(3)
+            with monkeypatch.context() as patch:
+                calls, samples = record_key_search(patch, cls, m, bits)
+            for k, call in enumerate(calls):
+                assert call == oracles.key_search_inputs(samples, k, bits), (
+                    rows, m, bits, k,
+                )
+            repeated += any(len(set(s)) < len(s) for s in samples)
+            cases += 1
+        assert repeated == cases
+
+    def test_a_fresh_space_grows_straight_to_any_level(self):
+        cls = haussler_long_class(3, 2, 2)
+        samples = list(enumerate_realizable_samples(cls, 3))
+        entries = [s.entries for s in samples]
+        for k in range(4):
+            keys = _KeySpace(samples, 1)
+            _find_assignment(keys, k)
+            expected = oracles.key_search_inputs(entries, k, 1)
+            assert (keys.lists, keys.conflicts) == expected
+
+    def test_a_grown_space_refuses_a_lower_level(self):
+        samples = list(enumerate_realizable_samples(tclass((0, 0), (1, 1)), 2))
+        keys = _KeySpace(samples, 0)
+        _find_assignment(keys, 1)
+        with pytest.raises(ValueError):
+            _find_assignment(keys, 0)
+
+
 class TestMinCompressionSize:
     def test_singleton_class(self):
         cls = tclass((0, 1))
@@ -546,7 +642,7 @@ class TestMinCompressionSize:
         cls = tclass((0, 0), (1, 1))
         assert min_compression_size(cls, 2, 0) == 1
         samples = list(enumerate_realizable_samples(cls, 2))
-        assert _find_assignment(samples, 0, 0) is None
+        assert _find_assignment(_KeySpace(samples, 0), 0) is None
 
     def test_full_two_cube_admits_a_one_entry_scheme(self):
         # four single-entry keys can host the four fully informative
@@ -559,7 +655,7 @@ class TestMinCompressionSize:
         replay = verify_scheme(cube, table.as_scheme(), 2)
         assert replay.valid and replay.k_of_m <= 1
         samples = list(enumerate_realizable_samples(cube, 2))
-        assert _find_assignment(samples, 0, 0) is None
+        assert _find_assignment(_KeySpace(samples, 0), 0) is None
 
     def test_explicit_one_entry_cube_scheme_is_valid(self):
         # hand-built certificate, independent of the search: key (x, y)
@@ -612,7 +708,7 @@ class TestMinCompressionSize:
             assert report.valid and report.k_of_m <= k
             if k > 0:
                 samples = list(enumerate_realizable_samples(cls, 2))
-                assert _find_assignment(samples, k - 1, 0) is None
+                assert _find_assignment(_KeySpace(samples, 0), k - 1) is None
 
 
     def test_node_budget_names_refuted_levels(self):
@@ -669,7 +765,7 @@ class TestMinCompressionSize:
         for cls, m, bits, samples in cases:
             best = oracles.min_compression_bruteforce(cls.concepts, m, m, bits)
             for k in range(m + 1):
-                got = _find_assignment(samples, k, bits) is not None
+                got = _find_assignment(_KeySpace(samples, bits), k) is not None
                 assert got == (best is not None and best <= k), (cls, m, bits, k)
                 outcomes.add(got)
         assert outcomes == {True, False}

@@ -6,13 +6,12 @@ import math
 
 import pytest
 
-from helpers import is_realizable
+from helpers import is_realizable, restrict
 from conceptlab.core import (
     STAR,
     ClassKind,
     ConceptClass,
     enumerate_realizable_samples,
-    restrict,
 )
 from conceptlab.constructions import (
     BicliquePartition,
