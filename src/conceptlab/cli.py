@@ -249,7 +249,8 @@ def _min_compression(args: argparse.Namespace) -> int:
 
 def _extract_disambiguation(args: argparse.Namespace) -> int:
     """Exit 3 from the key budget still prints the summary (``size``
-    null)."""
+    null), and so does exit 3 from a counting bound past its bit budget
+    (``counting_bound`` null)."""
     cls = _load_class(args.class_file)
     scheme = _make_scheme(args.scheme, cls, None)
     extracted = cut = None
@@ -263,10 +264,14 @@ def _extract_disambiguation(args: argparse.Namespace) -> int:
         "k": args.k,
         "bit_budget": args.bits,
         "size": None if cut is not None else extracted.n_concepts,
-        "counting_bound": counting_bound(
-            len(cls.support_indices()), len(cls.labels_used()), args.k, args.bits
-        ),
+        "counting_bound": None,
     }
+    try:
+        summary["counting_bound"] = counting_bound(
+            len(cls.support_indices()), len(cls.labels_used()), args.k, args.bits
+        )
+    except BudgetError as exc:
+        cut = cut or exc
     if cut is None and args.class_out:
         Path(args.class_out).write_text(dumps_class(extracted), encoding="utf-8")
     _emit(_json_text(summary), args.out)
@@ -278,8 +283,10 @@ def _extract_disambiguation(args: argparse.Namespace) -> int:
 def _pipeline(args: argparse.Namespace) -> int:
     """Exit 3 past the chromatic cap still prints the fields known before
     the search (``chromatic_floor`` null), for every scheme and before the
-    scheme is built; exit 3 from the extraction key budget prints every
-    field known by then (``disambiguation_size`` null)."""
+    scheme is built, and so does exit 3 from a counting ceiling past its
+    bit budget (``counting_ceiling`` null too); exit 3 from the extraction
+    key budget prints every field known by then (``disambiguation_size``
+    null)."""
     t = args.t
     try:
         check_pipeline_size(t, args.k, args.bits)

@@ -4,8 +4,9 @@ compression-to-disambiguation extractor.
 The exact minimum-size oracle is a list coloring (the compression-coloring
 link of Alon, Hanneke, Holzman and Moran, FOCS 2021): realizable samples are
 the vertices, a sample's candidate keys are its list, and samples that
-disagree on a shared point must not share a key.  ``list_coloring`` is the
-one exact search behind it and behind ``lowerbound.chromatic_number``.
+disagree on a shared point must not share a key.  ``class_coloring`` is
+the one exact search behind it, behind ``list_coloring`` and behind
+``lowerbound.chromatic_number``.
 
 A scheme is a deterministic pair (compress, reconstruct): compress maps a
 realizable sample to a key holding a subsample of it plus a bit string;
@@ -248,15 +249,28 @@ def verify_scheme(
     return outcome
 
 
+COUNTING_BIT_BUDGET = 1 << 18
+"""Most bits in a bound ``counting_bound`` returns (262,144 bits, 78,914
+decimal digits); printing a bound takes time quadratic in its length."""
+
+
 def counting_bound(m: int, c: int, k: int, bit_budget: int) -> int:
     """Exact count of keys with at most k entries over an m-point domain,
     c labels per entry, and a bit string of length at most ``bit_budget``:
     sum_{i<=k} C(m, i) * c^i * (2^(bit_budget+1) - 1).
+
+    Raises BudgetError when the count has more than ``COUNTING_BIT_BUDGET``
+    bits, without building it when the bit budget alone says so.
     """
     if m < 0 or c < 0 or k < 0 or bit_budget < 0:
         raise ValueError("counting_bound arguments must be non-negative")
-    subsets = sum(math.comb(m, i) * c**i for i in range(min(k, m) + 1))
-    return subsets * (2 ** (bit_budget + 1) - 1)
+    if bit_budget < COUNTING_BIT_BUDGET:  # else 2^(bit_budget+1) - 1 is past it
+        bound = (2 ** (bit_budget + 1) - 1) * sum(
+            math.comb(m, i) * c**i for i in range(min(k, m) + 1)
+        )
+        if bound.bit_length() <= COUNTING_BIT_BUDGET:
+            return bound
+    raise BudgetError(f"counting bound past {COUNTING_BIT_BUDGET} bits")
 
 
 def _bitstrings(bit_budget: int) -> Iterator[str]:
@@ -386,26 +400,28 @@ def _concept_from_json(raw: object, domain_size: int) -> tuple[int, ...]:
 
 
 def _clique_exceeds_lists(
-    lists: Sequence[Sequence[int]], conflicts: Sequence[int]
+    classes: Sequence[tuple], sizes: Sequence[int], capacity: Sequence[int],
+    conflicts: Sequence[int],
 ) -> bool:
     """True when a greedy clique of pairwise conflicting vertices has more
     members than the union of their lists, which no list coloring survives.
+    Vertex v lists every color of the classes ``classes[v]``, ``sizes[v]``
+    colors in all, and class cl has ``capacity[cl]`` colors.
 
     The clique starts at the vertex with the shortest list (ties: most
     conflicts, then lowest index) and repeatedly adds the candidate that
     brings the fewest new colors (ties: most conflicts within the remaining
-    candidates, then lowest index).
+    candidates, then lowest index).  There is at least one vertex.
     """
-    if not lists:
-        return False
     start = min(
-        range(len(lists)),
-        key=lambda v: (len(lists[v]), -conflicts[v].bit_count(), v),
+        range(len(classes)),
+        key=lambda v: (sizes[v], -conflicts[v].bit_count(), v),
     )
-    colors = set(lists[start])
+    covered = set(classes[start])
+    colors = sizes[start]
     size = 1
     candidates = conflicts[start]
-    while candidates and size <= len(colors):
+    while candidates and size <= colors:
         best = None
         rest = candidates
         while rest:
@@ -413,32 +429,39 @@ def _clique_exceeds_lists(
             rest ^= low
             w = low.bit_length() - 1
             rank = (
-                sum(1 for c in lists[w] if c not in colors),
+                sum(capacity[cl] for cl in classes[w] if cl not in covered),
                 -(conflicts[w] & candidates).bit_count(),
                 w,
             )
             if best is None or rank < best:
                 best = rank
         w = best[2]
-        colors.update(lists[w])
+        covered.update(classes[w])
+        colors += best[0]
         size += 1
         candidates &= conflicts[w]
-    return size > len(colors)
+    return size > colors
 
 
-def list_coloring(
-    lists: Sequence[Sequence[int]],
+def class_coloring(
+    runs: Sequence[Sequence[tuple[int, int, int]]],
+    capacity: Sequence[int],
     conflicts: Sequence[int],
     *,
     node_budget: Optional[int] = None,
-) -> Optional[list[int]]:
+) -> Optional[list[tuple[int, int]]]:
     """One color per vertex, taken from its list, such that no two
     conflicting vertices share a color; None when exhaustive search rules
     every such coloring out.
 
-    Vertex v may take the colors ``lists[v]``: distinct small non-negative
-    ints in ascending order.  ``conflicts[v]`` is the int bitset of the
-    vertices that conflict with v (symmetric, without v itself).
+    A color is a pair (class, rank): class cl has the ranks
+    0..``capacity[cl]``-1.  Vertex v lists the colors of the runs
+    ``runs[v]``, in order: a run (cl, lo, hi) stands for ranks lo..hi-1 of
+    class cl, ascending.  A vertex that lists a class lists every rank of
+    it, in one run or in several, so the colors of a class are listed by
+    exactly the same vertices and are interchangeable.  ``conflicts[v]`` is
+    the int bitset of the vertices that conflict with v (symmetric, without
+    v itself).
 
     The search is iterative, with an explicit stack:
 
@@ -449,49 +472,55 @@ def list_coloring(
       lowest-indexed one with at most one usable color goes first; the
       usable-color counts are kept up to date as colors are taken and
       given back, not recounted at every node;
-    * colors listed by exactly the same vertices are interchangeable, so of
-      those that no vertex uses yet only the lowest is tried (for lists
-      ``range(c)`` this is the usual "open color max+1" rule);
+    * a class opens its colors in rank order, so of those that no vertex
+      uses yet only the lowest is tried (for one class of capacity c this
+      is the usual "open color max+1" rule); a color has a state only
+      while some vertex holds it, so memory does not grow with capacities;
     * a vertex tries its usable colors in list order.
 
     Raises BudgetError when more than ``node_budget`` colors have been
     tried (one node per color tried).
     """
-    n = len(lists)
-    if _clique_exceeds_lists(lists, conflicts):
+    n = len(runs)
+    if not n:
+        return []
+    # each vertex's classes, once each (as tuples, far smaller than sets)
+    classes = [tuple({cl for cl, _, _ in spans}) for spans in runs]
+    sizes = [sum(map(capacity.__getitem__, of)) for of in classes]
+    if _clique_exceeds_lists(classes, sizes, capacity, conflicts):
         return None
-    holders: dict[int, int] = {}
-    for v, colors in enumerate(lists):
-        for c in colors:
-            holders[c] = holders.get(c, 0) | (1 << v)
-    n_colors = max(holders, default=-1) + 1
-    # Interchangeable colors form a class.  Classes open their colors in
-    # ascending order and close them in reverse (stack order), so the used
-    # colors of a class are always a prefix of it: color c is usable when
-    # it is used and not forbidden, or when it is the first unused one.
-    classes: dict[int, list[int]] = {}
-    for c in sorted(holders):
-        classes.setdefault(holders[c], []).append(c)
-    slot = [(0, 0)] * n_colors  # color -> (its class, its rank there)
-    listers = [0] * n_colors  # vertices listing c
-    has_next = [False] * n_colors  # c is not the last color of its class
-    for cl, (bits, colors) in enumerate(classes.items()):
-        for rank, c in enumerate(colors):
-            slot[c] = (cl, rank)
-            listers[c] = bits
-            has_next[c] = rank + 1 < len(colors)
-    opened = [0] * len(classes)
-    options_of = [tuple((c, *slot[c]) for c in colors) for colors in lists]
-    forbidden = [0] * n_colors  # vertices conflicting with a holder of c
-    members = [0] * n_colors
-    color_of = [-1] * n
+    listers = [0] * len(capacity)  # vertices listing the class
+    for v, of in enumerate(classes):
+        for cl in of:
+            listers[cl] |= 1 << v
+    # Classes open their colors in rank order and close them in reverse
+    # (stack order), so the used colors of a class are always a prefix of
+    # it: rank r is usable when it is used and not forbidden, or when it is
+    # the first unused one.  Only a used color has a state:
+    # ``forbidden[cl][r]``, the vertices conflicting with a holder of
+    # color (cl, r).
+    forbidden: list[list[int]] = [[] for _ in capacity]
+    opened = [0] * len(capacity)  # class -> how many of its colors are used
+    color_of: list = [None] * n
 
-    def usable(v: int, bit: int) -> list[int]:
+    def usable(v: int, bit: int) -> list[tuple[int, int]]:
+        """v's usable colors, in list order."""
         out = []
-        for c, cl, rank in options_of[v]:
+        for cl, lo, hi in runs[v]:
             head = opened[cl]
-            if rank == head or (rank < head and not forbidden[c] & bit):
-                out.append(c)
+            if head <= lo:
+                if head == lo:
+                    out.append((cl, lo))
+            elif hi - lo == 1:  # the common one-color run, already used
+                if not forbidden[cl][lo] & bit:
+                    out.append((cl, lo))
+            else:
+                used = forbidden[cl]
+                for r in range(lo, hi if hi < head else head):
+                    if not used[r] & bit:
+                        out.append((cl, r))
+                if head < hi:
+                    out.append((cl, head))
         return out
 
     # How many colors each vertex may take now, kept for every vertex in
@@ -499,12 +528,9 @@ def list_coloring(
     # taking 1 from) a whole set of vertices is a ripple of carries (or
     # borrows) through the planes.  At the start v may take the first color
     # of each class it lists.
-    counts = [
-        sum(1 for *_, rank in options if not rank) for options in options_of
-    ]
     plane = [
-        sum(1 << v for v, k in enumerate(counts) if k >> j & 1)
-        for j in range(max(1, max(map(len, lists), default=0).bit_length()))
+        sum(1 << v for v, of in enumerate(classes) if len(of) >> j & 1)
+        for j in range(max(1, max(sizes, default=0).bit_length()))
     ]
     free = (1 << n) - 1
 
@@ -537,22 +563,21 @@ def list_coloring(
         v = bit.bit_length() - 1
         return [v, usable(v, bit), 0, 0, 0, 0]
 
-    if not free:
-        return color_of
     nodes = 0
     stack = [select(free)]
     while stack:
         frame = stack[-1]
         v, options, i, saved, moved, delta = frame
         bit = 1 << v
-        c = color_of[v]
-        if c >= 0:
-            forbidden[c] = saved
-            members[c] -= 1
-            if not members[c]:
-                opened[slot[c][0]] -= 1
+        if color_of[v] is not None:
+            cl, r = color_of[v]
+            if saved < 0:  # v opened the color: the class closes it
+                forbidden[cl].pop()
+                opened[cl] -= 1
+            else:
+                forbidden[cl][r] = saved
             shift(moved, -delta)
-            color_of[v] = -1
+            color_of[v] = None
             free |= bit
         if i == len(options):
             stack.pop()
@@ -560,22 +585,23 @@ def list_coloring(
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetError(f"node budget {node_budget} exhausted")
-        c = options[i]
-        saved = forbidden[c]
-        forbidden[c] = saved | conflicts[v]
-        if members[c]:
-            # c's listers that v's conflicts newly forbid lose it
-            moved, delta = listers[c] & conflicts[v] & ~saved, -1
+        cl, r = color_of[v] = options[i]
+        used = forbidden[cl]
+        if r < opened[cl]:
+            # its listers that v's conflicts newly forbid lose it
+            saved = used[r]
+            used[r] = saved | conflicts[v]
+            moved, delta = listers[cl] & conflicts[v] & ~saved, -1
         else:
-            # c opens: every lister gains the class's next color, if there
-            # is one, and those among v's conflicts lose c
-            opened[slot[c][0]] += 1
-            if has_next[c]:
-                moved, delta = listers[c] & ~conflicts[v], 1
+            # it opens: every lister gains the class's next color, if there
+            # is one, and those among v's conflicts lose this one
+            saved = -1
+            used.append(conflicts[v])
+            opened[cl] += 1
+            if r + 1 < capacity[cl]:
+                moved, delta = listers[cl] & ~conflicts[v], 1
             else:
-                moved, delta = listers[c] & conflicts[v], -1
-        members[c] += 1
-        color_of[v] = c
+                moved, delta = listers[cl] & conflicts[v], -1
         free ^= bit
         shift(moved, delta)
         frame[2:] = i + 1, saved, moved, delta
@@ -583,6 +609,49 @@ def list_coloring(
             return color_of
         stack.append(select(free))
     return None
+
+
+def list_coloring(
+    lists: Sequence[Sequence[int]],
+    conflicts: Sequence[int],
+    *,
+    node_budget: Optional[int] = None,
+) -> Optional[list[int]]:
+    """``class_coloring`` on lists of color ids: vertex v may take the
+    colors ``lists[v]``, distinct non-negative ints in ascending order.
+    Colors listed by exactly the same vertices form a class, ranked by id;
+    each color of a list becomes a one-color run, and the coloring found
+    is given back in ids."""
+    holders: dict[int, list[int]] = {}
+    for v, colors in enumerate(lists):
+        for c in colors:
+            holders.setdefault(c, []).append(v)
+    classes, runs, capacity = _color_classes(holders, 1, len(lists))
+    found = class_coloring(runs, capacity, conflicts, node_budget=node_budget)
+    return None if found is None else [classes[cl][r] for cl, r in found]
+
+
+def _color_classes(
+    holders: dict, width: int, n: int
+) -> tuple[list[list], list[list[tuple[int, int, int]]], list[int]]:
+    """The classes and runs of ``class_coloring`` for n vertices, where
+    ``holders`` maps each item to the vertices listing it, ascending, and
+    an item stands for ``width`` interchangeable colors.  Items with the
+    same holders form one class, their colors ranked by item, then by
+    position within the item; a vertex gets one run per item it lists, in
+    ascending item order.  Returns each class's items, each vertex's runs
+    and each class's capacity."""
+    classes: dict[tuple[int, ...], tuple[int, list]] = {}  # by holders
+    runs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for item in sorted(holders):
+        holding = holders[item]
+        cl, items = classes.setdefault(tuple(holding), (len(classes), []))
+        run = (cl, len(items) * width, (len(items) + 1) * width)
+        items.append(item)
+        for v in holding:
+            runs[v].append(run)
+    groups = [items for _, items in classes.values()]
+    return groups, runs, [len(items) * width for items in groups]
 
 
 # --- exact minimum-size oracle ----------------------------------------------
@@ -594,7 +663,8 @@ SAMPLE_BUDGET = 20_000
 """Most realizable samples ``min_compression_certificate`` searches over."""
 
 KEY_LIST_BUDGET = 5_000_000
-"""Most key ids ``_find_assignment`` lists over all samples of one k-level."""
+"""Most sub-multisets ``_find_assignment`` lists over all samples of one
+k-level."""
 
 
 class _KeySpace:
@@ -602,73 +672,57 @@ class _KeySpace:
     one k-level at a time by ``_find_assignment``.
 
     ``conflicts[v]`` is the int bitset of the samples that disagree with
-    sample v on a shared point; no level changes it.  At level k, a sample's
-    keys are its distinct sub-multisets of at most k entries, each with one
-    of the bit strings ``bitstrings``.  ``subs`` holds every sub-multiset
-    that some sample lists, ascending, and ``lists[v]`` sample v's key ids,
-    ascending, where key id = rank in ``subs`` * ``len(bitstrings)`` + bit
-    string rank, so that ascending ids are the candidate order (sub-multiset,
-    then bits).  A new space stands at level 0; BudgetError when even that
-    level would list more than ``KEY_LIST_BUDGET`` key ids.
+    sample v on a shared point; no level changes it.  At level k, a
+    sample's keys are its distinct sub-multisets of at most k entries, each
+    with one of the first ``width`` bit strings (shortest first, then
+    lexicographic).  ``holders`` maps every listed sub-multiset to the
+    samples listing it, ascending.  ``layout`` groups the sub-multisets
+    with the same holders into one class of interchangeable keys, whose
+    rank p * width + j is its p-th sub-multiset, ascending, with bit string
+    j; each sample gets one run (class, p * width, (p + 1) * width) per
+    sub-multiset, in ascending order, so that the runs follow the candidate
+    order (sub-multiset, then bits) and no key is listed one by one: the
+    state does not grow with the bit budget.  A new space stands at level
+    0, where each sample lists the empty sub-multiset.
     """
 
     def __init__(self, samples: Sequence[Sample], bit_budget: int) -> None:
         self.samples = samples
-        # Keys that differ only in their bits are listed by exactly the same
-        # samples, so list_coloring puts them in one interchangeable class.
-        # It opens the colors of a class in ascending order and never more
-        # of them than there are samples, so no bit string past the first
-        # len(samples) is ever tried: listing only those changes no coloring
-        # it finds.
-        self.bitstrings = list(
-            itertools.islice(_bitstrings(bit_budget), len(samples))
-        )
-        # level 0: each sample lists the empty sub-multiset, with every bit
-        # string
-        width = len(self.bitstrings)
-        _check_key_lists(width * len(samples))
-        self.level = 0
-        self.subs: list[tuple[tuple[int, int], ...]] = [()]
-        self.lists = [list(range(width)) for _ in samples]
+        n = len(samples)
+        # ``class_coloring`` never opens more colors of a class than there
+        # are samples, so no bit string past the first n is ever tried
+        self.width = min(n, 2 ** min(bit_budget + 1, n.bit_length()) - 1)
         self.conflicts = _conflict_rows(samples)
+        self.level = 0
+        self.holders = {(): list(range(n))}
 
     def grow(self) -> None:
         """Extend every list from the current level to the next: each
         sample adds its distinct size-(level + 1) sub-multisets.
         BudgetError, before anything changes, when the lists would then
-        hold more than ``KEY_LIST_BUDGET`` key ids."""
+        hold more than ``KEY_LIST_BUDGET`` sub-multisets."""
         size = self.level + 1
         # repeated entries repeat combinations; keep the first of each
         added = [
             dict.fromkeys(itertools.combinations(s.entries, size))
             for s in self.samples
         ]
-        width = len(self.bitstrings)
-        _check_key_lists(sum(map(len, self.lists)) + width * sum(map(len, added)))
-        # the added sub-multisets are longer than every listed one, so
-        # they are new; merging keeps ``subs`` ascending, and the ids of
-        # the listed ones move up past the added ones below them
-        subs = self.subs + sorted(set().union(*added))
-        subs.sort()
-        ids_of = {sub: range(r * width, (r + 1) * width) for r, sub in enumerate(subs)}
-        flat = itertools.chain.from_iterable
-        move = list(flat(map(ids_of.__getitem__, self.subs))).__getitem__
-        lists = []
-        for old, new in zip(self.lists, added):
-            ids = [*map(move, old), *flat(map(ids_of.__getitem__, new))]
-            ids.sort()  # two ascending runs: one merge
-            lists.append(ids)
-        self.lists = lists
-        self.subs = subs
+        listed = sum(map(len, [*self.holders.values(), *added]))
+        if listed > KEY_LIST_BUDGET:
+            raise BudgetError(
+                f"key lists of {listed} ids exceed the key-list budget of "
+                f"{KEY_LIST_BUDGET}"
+            )
+        for v, subs in enumerate(added):
+            for sub in subs:
+                self.holders.setdefault(sub, []).append(v)
         self.level = size
 
-
-def _check_key_lists(listed: int) -> None:
-    if listed > KEY_LIST_BUDGET:
-        raise BudgetError(
-            f"key lists of {listed} ids exceed the key-list budget of "
-            f"{KEY_LIST_BUDGET}"
-        )
+    def layout(self) -> tuple[list, list, list[int]]:
+        """The current level as ``class_coloring`` takes it, from
+        ``_color_classes``: each class's sub-multisets, each sample's runs
+        and each class's capacity."""
+        return _color_classes(self.holders, self.width, len(self.samples))
 
 
 def _conflict_rows(samples: Sequence[Sample]) -> list[int]:
@@ -713,24 +767,27 @@ def _find_assignment(
     of at most k entries, each with a bit string of at most the space's
     bit budget) are its list, and samples that disagree conflict.  The
     conflict rows are the space's; its lists are grown from their level up
-    to k, so ``keys`` must not already stand above k.  ``list_coloring``
-    does the search; BudgetError after ``node_budget`` nodes, or before a
+    to k, so ``keys`` must not already stand above k.  ``class_coloring``
+    does the search on the space's runs, and a key is built only for the
+    colors it returns; BudgetError after ``node_budget`` nodes, or before a
     level is grown when its lists would hold more than ``KEY_LIST_BUDGET``
-    key ids.
+    sub-multisets.
     """
     if k < keys.level:
         raise ValueError(f"key lists already grown to {keys.level} > {k}")
     while keys.level < k:
         keys.grow()
-    bitstrings = keys.bitstrings
-    width = len(bitstrings)
-    colors = list_coloring(keys.lists, keys.conflicts, node_budget=node_budget)
+    classes, runs, capacity = keys.layout()
+    colors = class_coloring(runs, capacity, keys.conflicts, node_budget=node_budget)
     if colors is None:
         return None
-    found: dict[int, CompressionKey] = {}
-    for c in set(colors):
-        sub, j = divmod(c, width)
-        found[c] = CompressionKey(Sample._canonical(keys.subs[sub]), bitstrings[j])
+    found = {}
+    for cl, r in set(colors):
+        p, j = divmod(r, keys.width)
+        # bit string j (shortest first, then lexicographic) is j + 1 in
+        # binary without its leading 1
+        sub = Sample._canonical(classes[cl][p])
+        found[cl, r] = CompressionKey(sub, format(j + 1, "b")[1:])
     return {sample: found[c] for sample, c in zip(keys.samples, colors)}
 
 
@@ -772,15 +829,18 @@ def min_compression_certificate(
     from 0 (``_find_assignment``): samples sharing a key must be pairwise
     conflict-free because one total reconstruction must serve them all.
     The conflict graph does not depend on k, so it is built once per call
-    (``_KeySpace``), and each level only extends the key lists of the one
-    before it with the samples' size-k sub-multisets.
+    (``_KeySpace``), and each level only adds the samples' size-k
+    sub-multisets to the lists of the one before it.  Keys that differ only
+    in their bits are never listed one by one: a sub-multiset stands for
+    all its bit strings, as a run of a class of interchangeable keys, so
+    the search's memory does not grow with ``bit_budget``.
     The answer is at most m: keeping the whole sample (no bits) is a valid
     size-m assignment, since every sample is its own key and no other
     sample of size m lists that key.
 
     Raises BudgetError when more than ``SAMPLE_BUDGET`` samples are
     realizable, or when one k-level would list more than
-    ``KEY_LIST_BUDGET`` key ids or its search tries more than
+    ``KEY_LIST_BUDGET`` sub-multisets or its search tries more than
     ``node_budget`` nodes; the latter two name the levels already refuted,
     and their ``report`` holds them as ``{"m", "bit_budget", "k",
     "refuted"}``.

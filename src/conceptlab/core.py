@@ -201,10 +201,6 @@ class Sample:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def content(self) -> tuple[tuple[int, int], ...]:
-        """Distinct entries (the multiset collapsed to a set, sorted)."""
-        return tuple(sorted(set(self.entries)))
-
 
 def _pattern_sort_key(pattern: Sequence[int]) -> tuple[tuple[int, int], ...]:
     # lexicographic with STAR ordered after every defined label

@@ -4,7 +4,7 @@ graph, so its size is at least the chromatic number; a compression scheme's
 key space caps the size from above.  Composing the two yields per-instance
 certificates: counting ceiling >= extracted disambiguation size >= chromatic
 floor.  The chromatic floor is exact, from the list-coloring search that the
-minimum-compression oracle also uses (``compression.list_coloring``).
+minimum-compression oracle also uses (``compression.class_coloring``).
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from typing import Mapping, Optional
 
 from conceptlab.compression import (
     CompressionScheme,
+    class_coloring,
     counting_bound,
     extract_disambiguation,
-    list_coloring,
     replay_scheme,
 )
 from conceptlab.constructions import (
@@ -105,8 +105,8 @@ def extract_coloring(
 
 def chromatic_number(graph: Graph) -> int:
     """Exact chromatic number (at most 12 vertices): the smallest c for
-    which ``list_coloring`` colors the graph from the lists ``range(c)``,
-    trying c = 0, 1, 2, ... in turn.
+    which ``class_coloring`` colors the graph when every vertex lists the
+    one class of c interchangeable colors, trying c = 0, 1, 2, ... in turn.
     """
     n = graph.vertex_count
     if n > CHROMATIC_MAX_VERTICES:
@@ -119,7 +119,7 @@ def chromatic_number(graph: Graph) -> int:
         conflicts[u] |= 1 << v
         conflicts[v] |= 1 << u
     c = 0
-    while list_coloring([range(c)] * n, conflicts) is None:
+    while class_coloring([[(0, 0, c)]] * n, [c], conflicts) is None:
         c += 1
     return c
 
@@ -128,21 +128,29 @@ def check_pipeline_size(t: int, k: int, bit_budget: int) -> None:
     """BudgetError when K_t has more than ``CHROMATIC_MAX_VERTICES``
     vertices, so that the exact chromatic floor is out of reach; raised
     before anything of size t is built.  Its ``report`` holds the pipeline
-    fields known without the search, with ``chromatic_floor`` None."""
+    fields known without the search (``_fields_before_search``)."""
     if t > CHROMATIC_MAX_VERTICES:
-        n = t - 1  # the star partition of K_t has t - 1 parts
         raise BudgetError(
             f"exact chromatic search capped at {CHROMATIC_MAX_VERTICES} "
             f"vertices, got {t}",
-            report={
-                "t": t,
-                "n_parts": n,
-                "k": k,
-                "bit_budget": bit_budget,
-                "chromatic_floor": None,
-                "counting_ceiling": counting_bound(n, 2, k, bit_budget),
-            },
+            report=_fields_before_search(t, k, bit_budget),
         )
+
+
+def _fields_before_search(t: int, k: int, bit_budget: int) -> dict:
+    """The pipeline fields known before any search, ``chromatic_floor``
+    None.  When the counting ceiling is past ``COUNTING_BIT_BUDGET``, a
+    BudgetError whose ``report`` holds them, ``counting_ceiling`` None."""
+    n = t - 1  # the star partition of K_t has t - 1 parts
+    fields = dict(
+        t=t, n_parts=n, k=k, bit_budget=bit_budget, chromatic_floor=None,
+        counting_ceiling=None,
+    )
+    try:
+        fields["counting_ceiling"] = counting_bound(n, 2, k, bit_budget)
+    except BudgetError as exc:
+        raise BudgetError(str(exc), report=fields) from None
+    return fields
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,15 +202,17 @@ def pipeline_certificate(
     not valid decides, and no larger size is checked after it.
 
     Past ``CHROMATIC_MAX_VERTICES`` vertices ``check_pipeline_size`` raises
-    BudgetError before anything is built.  When extraction runs out of its
-    key budget, the BudgetError's ``report`` holds every field known by
+    BudgetError before anything is built.  A counting ceiling past
+    ``COUNTING_BIT_BUDGET`` bits raises BudgetError before the search, its
+    ``report`` holding the fields known then.  When extraction runs out of
+    its key budget, the BudgetError's ``report`` holds every field known by
     then, with ``disambiguation_size`` and the checks that need it None.
     """
     check_pipeline_size(t, k, bit_budget)
     partition = star_partition(t)
     partial = biclique_class(partition)
     n = partition.n_parts
-    ceiling = counting_bound(n, 2, k, bit_budget)
+    ceiling = _fields_before_search(t, k, bit_budget)["counting_ceiling"]
     floor = chromatic_number(partition.graph)
     report = PipelineReport(
         t=t,

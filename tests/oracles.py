@@ -357,17 +357,10 @@ def min_compression_bruteforce(concepts, m, k, bits):
     return None
 
 
-def key_search_inputs(samples, k, bits):
-    """The key lists and conflict rows of the level-k key search over the
-    samples (sorted tuples of (point, label) entries), built from scratch.
-
-    A sample's keys are its distinct sub-multisets of at most k entries,
-    each with one of the first len(samples) bit strings of length at most
-    ``bits`` (shortest first, then lexicographic).  Key id = the rank of the
-    sub-multiset among every sample's, sorted, times the number of bit
-    strings, plus the bit string's rank.  Row v has bit u set when samples
-    u and v hold some point with different labels.
-    """
+def _key_search_subs(samples, k, bits):
+    """The first len(samples) bit strings of length at most ``bits``
+    (shortest first, then lexicographic), and each sample's distinct
+    sub-multisets of at most k entries, sorted."""
     strings = list(itertools.islice(
         (
             "".join(word)
@@ -384,6 +377,28 @@ def key_search_inputs(samples, k, bits):
         })
         for entries in samples
     ]
+    return strings, subs_of
+
+
+def key_search_keys(samples, k, bits):
+    """The key that each id of ``key_search_inputs`` stands for, in id
+    order: (sub-multiset, bit string)."""
+    strings, subs_of = _key_search_subs(samples, k, bits)
+    return [(sub, s) for sub in sorted(set().union(*subs_of)) for s in strings]
+
+
+def key_search_inputs(samples, k, bits):
+    """The key lists and conflict rows of the level-k key search over the
+    samples (sorted tuples of (point, label) entries), built from scratch.
+
+    A sample's keys are its distinct sub-multisets of at most k entries,
+    each with one of the first len(samples) bit strings of length at most
+    ``bits`` (shortest first, then lexicographic).  Key id = the rank of the
+    sub-multiset among every sample's, sorted, times the number of bit
+    strings, plus the bit string's rank.  Row v has bit u set when samples
+    u and v hold some point with different labels.
+    """
+    strings, subs_of = _key_search_subs(samples, k, bits)
     rank = {sub: r for r, sub in enumerate(sorted(set().union(*subs_of)))}
     lists = [
         [rank[sub] * len(strings) + j for sub in subs for j in range(len(strings))]

@@ -722,6 +722,12 @@ class TestOversizedInputs:
               "disambiguation_size": None, "ok": None}),
             (["extract-disambiguation", "--class", "{b4}", "--k", "1",
               "--bits", "30"], 3, {"size": None}),
+            (["pipeline", "--t", "4", "--k", "1", "--bits", "1000000000"], 3,
+             {"bit_budget": 1000000000, "chromatic_floor": None,
+              "counting_ceiling": None}),
+            (["extract-disambiguation", "--class", "{b4}", "--k", "1",
+              "--bits", "1000000000"], 3,
+             {"size": None, "counting_bound": None}),
             (["min-compression", "--class", "{cube}", "--m", "1", "--bits",
               "22"], 0, {"k": 0, "certificate_valid": True}),
             (["min-compression", "--class", "{cube}", "--m", "2", "--bits",
@@ -739,7 +745,8 @@ class TestOversizedInputs:
               "10000000", "--labels", "3"], 3, None),
         ],
         ids=[
-            "pipeline-bits30", "extract-bits30", "min-compression-bits22",
+            "pipeline-bits30", "extract-bits30", "pipeline-bits1e9",
+            "extract-bits1e9", "min-compression-bits22",
             "min-compression-bits30", "pipeline-t2000", "pipeline-t20000",
             "pipeline-t20000-boosted", "gen-haussler-long", "gen-biclique",
             "gen-random",
@@ -760,27 +767,6 @@ class TestOversizedInputs:
         else:
             data = json.loads(proc.stdout)
             assert {name: data[name] for name in fields} == fields
-
-    def test_min_compression_past_the_key_list_budget(self, tmp_path):
-        # one concept over 6,000 points at m = 1: 6,000 samples, each
-        # listing 6,000 bit strings at k = 0, far past the key-list budget
-        cls_file = tmp_path / "one.json"
-        cls_file.write_text(
-            dumps_class(ConceptClass(6000, ((0,) * 6000,), ClassKind.TOTAL)),
-            encoding="utf-8",
-        )
-        proc = _run_limited([
-            "min-compression", "--class", str(cls_file), "--m", "1",
-            "--bits", "14",
-        ])
-        assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "key-list budget" in proc.stderr
-        assert "node budget" not in proc.stderr
-        data = json.loads(proc.stdout)
-        assert (data["k"], data["budget_exhausted_at_k"], data["refuted"]) == (
-            None, 0, [],
-        )
 
     @pytest.mark.parametrize(
         "family, m",
@@ -884,6 +870,18 @@ itself, and prints its peak resident set in kB as the last line of stderr
 before the exec)."""
 
 
+def _run_peak_rss(argv):
+    """The CLI in a ``PEAK_RSS_CHILD`` with a 60 s timeout; its peak
+    resident set in kB is the last word of its stderr."""
+    return subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+        timeout=60,
+    )
+
+
 class TestLongSamples:
     """The sample walk holds O(m) state: m = 100,000 on a one-point,
     one-concept class (one sample of 100,000 entries) answers in a child
@@ -905,16 +903,41 @@ class TestLongSamples:
             dumps_class(ConceptClass(1, ((0,),), ClassKind.TOTAL)),
             encoding="utf-8",
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_CHILD,
-             *[arg.format(one=one) for arg in argv]],
-            capture_output=True,
-            text=True,
-            env=SUBPROCESS_ENV,
-            timeout=60,
-        )
+        proc = _run_peak_rss([arg.format(one=one) for arg in argv])
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
+        peak_kb = int(proc.stderr.split()[-1])
+        assert peak_kb < 50 * 1024, peak_kb
+
+
+class TestKeyClasses:
+    """Keys that differ only in their bits form one class that the key
+    search never lists key by key: one concept over 2,000 or 6,000 points
+    at m = 1 and 14 bits (one sample per point, and one key serving them
+    all) answers k = 0 in a child whose peak resident set stays under
+    50 MB."""
+
+    @pytest.mark.parametrize("points", [2000, 6000])
+    def test_one_key_serves_every_sample(self, tmp_path, points):
+        cls_file = tmp_path / "one.json"
+        cls_file.write_text(
+            dumps_class(ConceptClass(points, ((0,) * points,), ClassKind.TOTAL)),
+            encoding="utf-8",
+        )
+        proc = _run_peak_rss([
+            "min-compression", "--class", str(cls_file), "--m", "1",
+            "--bits", "14",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "{\n"
+            f"  \"class\": {json.dumps(str(cls_file))},\n"
+            "  \"m\": 1,\n"
+            "  \"bit_budget\": 14,\n"
+            "  \"k\": 0,\n"
+            "  \"certificate_valid\": true\n"
+            "}\n"
+        )
         peak_kb = int(proc.stderr.split()[-1])
         assert peak_kb < 50 * 1024, peak_kb
 

@@ -5,7 +5,7 @@ import collections
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,6 +26,7 @@ from conceptlab.compression import (
     _KeySpace,
     _find_assignment,
     boosted_scheme,
+    class_coloring,
     counting_bound,
     extract_disambiguation,
     list_coloring,
@@ -445,6 +446,16 @@ class TestCountingBound:
         assert counting_bound(3, 2, 2, 1) >= base
         assert counting_bound(3, 2, 1, 2) >= base
 
+    def test_budget_bounds_the_bits_of_the_count(self):
+        # 2^(b+1) - 1 has b + 1 bits: at b = budget - 1 it is exactly at the
+        # budget, and doubling it goes one bit past
+        b = compression.COUNTING_BIT_BUDGET
+        assert counting_bound(0, 2, 1, b - 1) == 2**b - 1
+        with pytest.raises(BudgetError):
+            counting_bound(1, 1, 1, b - 1)
+        with pytest.raises(BudgetError):
+            counting_bound(0, 2, 1, 10**12)  # refused before building 2^b
+
 
 def fewest_nodes(search, exhausted, lists, conflicts):
     """The smallest node budget under which ``search`` finishes, found by
@@ -525,39 +536,110 @@ class TestListColoring:
     def test_matches_rescanning_oracle_on_key_search_inputs(
         self, monkeypatch, cls, m, bits
     ):
-        calls = []
+        calls, _ = record_key_search(monkeypatch, cls, m, bits)
+        for expanded, level in calls:
+            assert_same_search(*expanded)
+            assert_same_class_search(expanded, level)
 
-        def recording(lists, conflicts, *, node_budget=None):
-            calls.append((lists, conflicts))
-            return list_coloring(lists, conflicts, node_budget=node_budget)
 
-        monkeypatch.setattr(compression, "list_coloring", recording)
-        min_compression_certificate(cls, m, bits)
-        assert calls
-        for lists, conflicts in calls:
-            assert_same_search(lists, conflicts)
+def space_inputs(keys):
+    """The current level of a ``_KeySpace``: ``(lists, conflicts)`` as
+    ``oracles.key_search_inputs`` builds them, each run expanded to key ids
+    (the rank of the sub-multiset among all listed, sorted, times the
+    width, plus the bit string's rank); and ``(runs, capacity, id_of)``,
+    what ``class_coloring`` receives and the map from a (class, rank) color
+    to its key id."""
+    width = keys.width
+    classes, runs, capacity = keys.layout()
+    rank = {
+        sub: r for r, sub in enumerate(sorted(
+            sub for subs in classes for sub in subs
+        ))
+    }
+
+    def id_of(cl, p):
+        return rank[classes[cl][p // width]] * width + p % width
+
+    lists = [
+        [id_of(cl, p) for cl, lo, hi in spans for p in range(lo, hi)]
+        for spans in runs
+    ]
+    return (lists, list(keys.conflicts)), (runs, capacity, id_of)
+
+
+def assert_same_class_search(expanded, level):
+    """``class_coloring`` on a level's runs (``space_inputs``) returns, in
+    key ids, what the rescanning oracle returns on the expanded lists, and
+    runs out of nodes exactly where it does."""
+    lists, conflicts = expanded
+    runs, capacity, id_of = level
+
+    def search(runs, conflicts, node_budget=None):
+        found = class_coloring(runs, capacity, conflicts, node_budget=node_budget)
+        return None if found is None else [id_of(*color) for color in found]
+
+    assert search(runs, conflicts) == oracles.list_coloring_rescan(
+        lists, conflicts
+    )
+    assert fewest_nodes(search, BudgetError, runs, conflicts) == (
+        fewest_nodes(
+            oracles.list_coloring_rescan, oracles.NodeBudgetExhausted, lists,
+            conflicts,
+        )
+    )
 
 
 def record_key_search(monkeypatch, cls, m, bits):
-    """The (lists, conflicts) of every list_coloring call that
+    """``space_inputs`` after every ``_find_assignment`` call that
     ``min_compression_certificate`` makes, one per k-level from 0, and the
-    realizable samples as entry tuples."""
+    realizable samples as entry tuples.  Each level's assignment, if any,
+    is the rescanning oracle's coloring of the expanded lists, read as
+    keys."""
     calls = []
 
-    def recording(lists, conflicts, *, node_budget=None):
-        calls.append(([list(ids) for ids in lists], list(conflicts)))
-        return list_coloring(lists, conflicts, node_budget=node_budget)
+    def recording(keys, k, *, node_budget=None):
+        found = _find_assignment(keys, k, node_budget=node_budget)
+        expanded, level = space_inputs(keys)
+        calls.append((expanded, level))
+        lists, conflicts = expanded
+        entries = [s.entries for s in keys.samples]
+        colors = oracles.list_coloring_rescan(lists, conflicts)
+        if colors is None:
+            assert found is None
+        else:
+            key_of = oracles.key_search_keys(entries, k, bits)
+            assert {
+                s.entries: (key.subsample.entries, key.bits)
+                for s, key in found.items()
+            } == {s: key_of[c] for s, c in zip(entries, colors)}
+        return found
 
-    monkeypatch.setattr(compression, "list_coloring", recording)
+    monkeypatch.setattr(compression, "_find_assignment", recording)
     k, _ = min_compression_certificate(cls, m, bits)
     assert len(calls) == k + 1
     samples = [s.entries for s in enumerate_realizable_samples(cls, m)]
     return calls, samples
 
 
+@st.composite
+def partial_key_spaces(draw):
+    """(rows, m, bits): a partial class of 1 to 4 rows over 2 or 3 points
+    with labels 0 and 1, each row defined somewhere, m from 1 to 3 and a
+    bit budget from 0 to 3.  A point defined in a single row, with few
+    others, lets distinct sub-multisets be held by the same samples."""
+    n = draw(st.integers(2, 3))
+    cell = st.sampled_from([STAR, 0, 1])
+    rows = draw(st.sets(
+        st.tuples(*[cell] * n).filter(lambda r: any(v != STAR for v in r)),
+        min_size=1,
+        max_size=4,
+    ))
+    return sorted(rows), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+
 class TestKeySpace:
-    """The lists and conflicts that list_coloring receives at every level
-    equal a from-scratch build of that level."""
+    """The runs and conflicts that the key search receives at every level,
+    expanded to key ids, equal a from-scratch build of that level."""
 
     @pytest.mark.parametrize(
         "cls, m, bits",
@@ -583,7 +665,7 @@ class TestKeySpace:
         self, monkeypatch, cls, m, bits
     ):
         calls, samples = record_key_search(monkeypatch, cls, m, bits)
-        for k, call in enumerate(calls):
+        for k, (call, _) in enumerate(calls):
             assert call == oracles.key_search_inputs(samples, k, bits), k
 
     def test_levels_match_from_scratch_build_on_random_partial_classes(
@@ -607,7 +689,7 @@ class TestKeySpace:
             m, bits = rng.randrange(2, 4), rng.randrange(3)
             with monkeypatch.context() as patch:
                 calls, samples = record_key_search(patch, cls, m, bits)
-            for k, call in enumerate(calls):
+            for k, (call, _) in enumerate(calls):
                 assert call == oracles.key_search_inputs(samples, k, bits), (
                     rows, m, bits, k,
                 )
@@ -623,7 +705,30 @@ class TestKeySpace:
             keys = _KeySpace(samples, 1)
             _find_assignment(keys, k)
             expected = oracles.key_search_inputs(entries, k, 1)
-            assert (keys.lists, keys.conflicts) == expected
+            assert space_inputs(keys)[0] == expected
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(partial_key_spaces())
+    # point 1 holds label 0 only where point 0 is undefined, so the samples
+    # holding (1, 0) are those holding it twice: ((1, 0),) and
+    # ((1, 0), (1, 0)) form one class of 2 * 3 keys at k = 2
+    @example(([(STAR, 0), (1, 1)], 2, 1))
+    def test_levels_and_search_match_the_oracles_on_random_partial_classes(
+        self, space
+    ):
+        rows, m, bits = space
+        cls = ConceptClass(len(rows[0]), tuple(rows), ClassKind.PARTIAL)
+        samples = list(enumerate_realizable_samples(cls, m))
+        entries = [s.entries for s in samples]
+        keys = _KeySpace(samples, bits)
+        shared = False
+        for k in range(m + 1):
+            _find_assignment(keys, k)
+            expanded, level = space_inputs(keys)
+            assert expanded == oracles.key_search_inputs(entries, k, bits), k
+            assert_same_class_search(expanded, level)
+            shared |= any(len(subs) > 1 for subs in keys.layout()[0])
+        event(f"sub-multisets sharing a holder set: {shared}")
 
     def test_a_grown_space_refuses_a_lower_level(self):
         samples = list(enumerate_realizable_samples(tclass((0, 0), (1, 1)), 2))

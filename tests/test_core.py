@@ -411,10 +411,6 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample(((0, STAR),))
 
-    def test_content_collapses_duplicates(self):
-        s = Sample(((1, 0), (1, 0), (0, 2)))
-        assert s.content() == ((0, 2), (1, 0))
-
     @pytest.mark.parametrize("index", [True, False])
     def test_bool_index_rejected(self, index):
         with pytest.raises(ValueError):
