@@ -133,7 +133,9 @@ def replay_scheme(
     The outcomes come in ascending size and stop at the first one that is
     not a valid report, since a failure or an exception at size d stops the
     checking of every size above d; an exception also ends its own size.
-    The walk ends as soon as no size is left to check.
+    The walk is read one way: a sample larger than the largest size still
+    checked is skipped, and the walk ends as soon as no size is left to
+    check.  The per-size state covers [low, high] only.
 
     Each distinct key (subsample entries, bits) is measured once: its size,
     the bitset of the pair ranks of its entries (an entry no concept holds
@@ -157,23 +159,26 @@ def replay_scheme(
     rank_bit = {pair: 1 << r for r, pair in enumerate(pairs)}
     outside = 1 << len(pairs)  # the rank of a pair no concept holds
     known: dict[tuple, list] = {}  # key -> [size, ranks, concept, agree]
-    failures: list[list[tuple[Sample, int]]] = [[] for _ in range(high + 1)]
-    k_of = [0] * (high + 1)
-    checked = [0] * (high + 1)
-    raised: dict[int, Exception] = {}
-    top = high  # the largest size still checked
-    walk = walk_realizable_samples(cls, low, high)
-    for sample, ranks in walk:
+    # per size, indexed by size - low
+    failures: list[list[tuple[Sample, int]]] = [[] for _ in range(low, high + 1)]
+    k_of = [0] * (high - low + 1)
+    checked = [0] * (high - low + 1)
+    raised: Optional[Exception] = None  # what ended size top + 1, if anything
+    top = high - low  # the largest size still checked, as an index
+    for sample, ranks in walk_realizable_samples(cls, low, high):
         entries = sample.entries
-        m = len(entries)
-        if sample_budget is not None and checked[m] == sample_budget:
-            raised[m] = BudgetError(
+        d = len(entries) - low
+        if d > top:
+            continue
+        if sample_budget is not None and checked[d] == sample_budget:
+            m = d + low
+            raised = BudgetError(
                 f"sample budget {sample_budget} exhausted at size {m}",
-                report=SchemeReport(None, m, k_of[m], tuple(failures[m]), checked[m]),
+                report=SchemeReport(None, m, k_of[d], tuple(failures[d]), checked[d]),
             )
-            top = m - 1
+            top = d - 1
         else:
-            checked[m] += 1
+            checked[d] += 1
             try:
                 key = compress(sample)
                 sub = key.subsample.entries
@@ -186,8 +191,8 @@ def replay_scheme(
                     size = max(len(sub), len(key.bits))
                     facts = known[ident] = [size, key_ranks, None, 0]
                 size, key_ranks, concept, agree = facts
-                if size > k_of[m]:
-                    k_of[m] = size
+                if size > k_of[d]:
+                    k_of[d] = size
                 # element-wise containment: a key may repeat an entry of the
                 # sample (block padding does) but may not add one it lacks
                 if key_ranks & ~ranks:
@@ -203,22 +208,18 @@ def replay_scheme(
                     if not ranks & ~agree:
                         continue
                     bad = next(i for i, y in entries if concept[i] != y)
-                failures[m].append((sample, bad))
-                if m >= top:
-                    continue
-                top = m
+                failures[d].append((sample, bad))
+                top, raised = d, None
             except Exception as exc:
-                raised[m] = exc
-                top = m - 1
-        if top < low:
+                top, raised = d - 1, exc
+        if top < 0:
             break
-        walk.send(top)
     outcomes: list[SchemeReport | Exception] = [
-        SchemeReport(not failures[m], m, k_of[m], tuple(failures[m]), checked[m])
-        for m in range(low, top + 1)
+        SchemeReport(not failed, low + d, k_of[d], tuple(failed), checked[d])
+        for d, failed in enumerate(failures[: top + 1])
     ]
-    if top < high and not failures[top]:
-        outcomes.append(raised[top + 1])
+    if raised is not None:
+        outcomes.append(raised)
     return outcomes
 
 
@@ -259,16 +260,22 @@ def counting_bound(m: int, c: int, k: int, bit_budget: int) -> int:
     c labels per entry, and a bit string of length at most ``bit_budget``:
     sum_{i<=k} C(m, i) * c^i * (2^(bit_budget+1) - 1).
 
-    Raises BudgetError when the count has more than ``COUNTING_BIT_BUDGET``
-    bits, without building it when the bit budget alone says so.
+    The terms are built in turn, each from the one before, so the cost is
+    linear in the number of terms summed.  Raises BudgetError as soon as the
+    partial sum has more than ``COUNTING_BIT_BUDGET`` bits, without building
+    anything when the bit budget alone says so.
     """
     if m < 0 or c < 0 or k < 0 or bit_budget < 0:
         raise ValueError("counting_bound arguments must be non-negative")
     if bit_budget < COUNTING_BIT_BUDGET:  # else 2^(bit_budget+1) - 1 is past it
-        bound = (2 ** (bit_budget + 1) - 1) * sum(
-            math.comb(m, i) * c**i for i in range(min(k, m) + 1)
-        )
-        if bound.bit_length() <= COUNTING_BIT_BUDGET:
+        term = bound = 2 ** (bit_budget + 1) - 1  # i = 0: the bit strings alone
+        for i in range(min(k, m)):
+            # exact, since C(m, i) (m - i) / (i + 1) = C(m, i + 1)
+            term = term * (m - i) // (i + 1) * c
+            bound += term
+            if bound.bit_length() > COUNTING_BIT_BUDGET:
+                break
+        else:
             return bound
     raise BudgetError(f"counting bound past {COUNTING_BIT_BUDGET} bits")
 
@@ -710,7 +717,7 @@ class _KeySpace:
         listed = sum(map(len, [*self.holders.values(), *added]))
         if listed > KEY_LIST_BUDGET:
             raise BudgetError(
-                f"key lists of {listed} ids exceed the key-list budget of "
+                f"key lists of {listed} sub-multisets exceed the key-list budget of "
                 f"{KEY_LIST_BUDGET}"
             )
         for v, subs in enumerate(added):
@@ -890,10 +897,14 @@ def extract_disambiguation(
 ) -> ConceptClass:
     """Apply the reconstruction to every (realizable sample of size <= k,
     bit string of length <= bit_budget) key and collect the distinct total
-    concepts.  The collected class is checked to disambiguate ``cls``: every
-    realizable sample of size up to the support size must be matched by
-    some extracted concept; a miss raises ContractViolationError naming a
-    concept's full content.
+    concepts, in the order first met.  The empty subsample is probed first,
+    then the subsamples of one walk over the sizes 1 to k
+    (``core.walk_realizable_samples``), which visits each prefix once; so
+    for k >= 2 the returned class lists its concepts in the walk's merged
+    order, not size by size.  The collected class is checked to
+    disambiguate ``cls``: every realizable sample of size up to the support
+    size must be matched by some extracted concept; a miss raises
+    ContractViolationError naming a concept's full content.
 
     The check runs on maximal contents.  The content of a realizable sample
     is a subset of the defined (point, label) pairs D_c of some concept c,
@@ -915,10 +926,7 @@ def extract_disambiguation(
             f"bit_budget={bit_budget}"
         )
     subsamples = itertools.chain(
-        [Sample(())],
-        itertools.chain.from_iterable(
-            enumerate_realizable_samples(cls, size) for size in range(1, k + 1)
-        ),
+        [Sample(())], (sample for sample, _ in walk_realizable_samples(cls, 1, k))
     )
     concepts: dict[tuple[int, ...], None] = {}  # distinct, in probe order
     probed = 0

@@ -21,7 +21,7 @@ import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Generator, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from conceptlab.errors import BudgetError
 
@@ -209,7 +209,7 @@ def _pattern_sort_key(pattern: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def walk_realizable_samples(
     cls: ConceptClass, low: int, high: int
-) -> Generator[tuple[Sample, int], Optional[int], None]:
+) -> Iterator[tuple[Sample, int]]:
     """Yield ``(sample, ranks)`` for every realizable sample whose size lies
     in [low, high], where ``ranks`` is the int bitset of the positions, in
     ``sorted(cls.holders)``, of the sample's distinct entries.
@@ -219,13 +219,12 @@ def walk_realizable_samples(
     concepts holding each pair, and drops a prefix as soon as no concept is
     left.  A sample comes right after the prefix it extends, so the samples
     of any one size come in canonical order (ascending sorted entry tuples),
-    each multiset once.  Beyond that index the walk holds O(high) state:
-    the pairs picked so far are one list, cut back on backtrack, and a
-    sample's tuple is built only when it is yielded.
-
-    ``walk.send(h)`` (which returns None) lowers ``high`` to h, with
-    low <= h, for the rest of the walk: no sample larger than h comes after
-    it.  The walk is empty when high < low, and ValueError when low < 1.
+    each multiset once.  Beyond that index the walk's state grows with the
+    depth it has reached, not with ``high``: the pairs picked so far are
+    one list, cut back on backtrack, the per-depth state is grown when a
+    depth is first reached, and a sample's tuple is built only when it is
+    yielded.  The walk is empty when high < low, and ValueError when
+    low < 1.
     """
     if low < 1:
         raise ValueError("sample size must be at least 1")
@@ -240,31 +239,24 @@ def walk_realizable_samples(
     alloc = object.__new__
     put = Sample.entries.__set__  # ``Sample._canonical``, inlined
     prefix: list[tuple[int, int]] = []  # the pair picked at each depth above
-    below = [0] * high  # the prefix's ranks per depth
-    alive = [(1 << cls.n_concepts) - 1] + [0] * (high - 1)  # concepts left
-    start = [0] * high  # next pair index to try at each depth
-    depth = 0
+    below = [0]  # the prefix's ranks per depth
+    alive = [(1 << cls.n_concepts) - 1]  # the concepts left per depth
+    start = [0]  # next pair index to try at each depth
+    last = high - 1
+    depth = reached = 0  # the current and the deepest depth so far
     while depth >= 0:
-        if depth >= high:  # high was lowered under this depth
-            depth = high - 1
-            continue
         del prefix[depth:]
         j = start[depth]
         live = alive[depth]
         ranks = below[depth]
-        if depth == high - 1:
+        if depth == last:
             # the last entry: every pair some live concept holds completes one
             head = tuple(prefix)
             for k in range(j, n):
                 if live & masks[k]:
                     sample = alloc(Sample)
                     put(sample, head + tails[k])
-                    lowered = yield sample, ranks | bits[k]
-                    if lowered is not None:
-                        high = lowered
-                        yield None
-                        if depth >= high:
-                            break
+                    yield sample, ranks | bits[k]
             depth -= 1
             continue
         while j < n and not live & masks[j]:
@@ -278,13 +270,13 @@ def walk_realizable_samples(
         if depth >= low - 1:
             sample = alloc(Sample)
             put(sample, tuple(prefix))
-            lowered = yield sample, ranks
-            if lowered is not None:
-                high = lowered
-                yield None
-                if depth >= high - 1:
-                    continue
+            yield sample, ranks
         depth += 1
+        if depth > reached:  # the walk first reaches this depth
+            reached = depth
+            below.append(0)
+            alive.append(0)
+            start.append(0)
         below[depth] = ranks
         alive[depth] = live & masks[j]
         start[depth] = j

@@ -743,21 +743,44 @@ class TestOversizedInputs:
             (["gen", "--family", "biclique", "--t", "20000"], 3, None),
             (["gen", "--family", "random", "--points", "1000", "--concepts",
               "10000000", "--labels", "3"], 3, None),
+            (["pipeline", "--t", "1000000000", "--k", "1000000000", "--bits",
+              "1"], 3, {"chromatic_floor": None, "counting_ceiling": None}),
+            # sizes far past anything the undefined class realizes
+            (["verify-compression", "--class", "{void}", "--scheme", "star",
+              "--m", "1000000000"], 0,
+             {"reports": [{"valid": True, "m": 1000000000, "k_of_m": 0,
+                           "samples_checked": 0, "failures": []}]}),
+            (["min-compression", "--class", "{void}", "--m", "1000000000",
+              "--bits", "0"], 0, {"k": 0, "certificate_valid": True}),
+            (["extract-disambiguation", "--class", "{void}", "--k",
+              "1000000000", "--bits", "0"], 0,
+             {"size": 1, "counting_bound": 1}),
         ],
         ids=[
             "pipeline-bits30", "extract-bits30", "pipeline-bits1e9",
             "extract-bits1e9", "min-compression-bits22",
             "min-compression-bits30", "pipeline-t2000", "pipeline-t20000",
             "pipeline-t20000-boosted", "gen-haussler-long", "gen-biclique",
-            "gen-random",
+            "gen-random", "pipeline-t1e9-k1e9", "verify-compression-void-m1e9",
+            "min-compression-void-m1e9", "extract-void-k1e9",
         ],
     )
     def test_exits_fast_without_traceback(self, tmp_path, argv, code, fields):
-        files = {"b4": tmp_path / "b4.json", "cube": tmp_path / "cube.json"}
+        files = {
+            "b4": tmp_path / "b4.json",
+            "cube": tmp_path / "cube.json",
+            "void": tmp_path / "void.json",
+        }
         run_cli("gen", "--family", "biclique", "--t", "4", "--out", str(files["b4"]))
         run_cli(
             "gen", "--family", "haussler-long", "--points", "2", "--labels",
             "2", "--max-nonzero", "2", "--out", str(files["cube"]),
+        )
+        # one concept, undefined everywhere: no sample is realizable
+        run_cli(
+            "gen", "--family", "random", "--points", "2", "--concepts", "1",
+            "--labels", "1", "--partial", "--star-prob", "1", "--out",
+            str(files["void"]),
         )
         proc = _run_limited([arg.format(**files) for arg in argv])
         assert proc.returncode == code, proc.stderr
@@ -971,8 +994,11 @@ class TestCountingBoundsPastTheDigitLimit:
              lambda b4: counting_bound(
                  len(b4.support_indices()), len(b4.labels_used()), 1, 20000
              )),
+            # 19,999 parts and k past them: every term, (1 + 2)^19999 * 3
+            (["pipeline", "--t", "20000", "--k", "20000", "--bits", "1"],
+             "counting_ceiling", lambda b4: 3**20000),
         ],
-        ids=["pipeline-bits20000", "extract-bits20000"],
+        ids=["pipeline-bits20000", "extract-bits20000", "pipeline-k20000"],
     )
     def test_exit_3_prints_the_whole_bound(
         self, tmp_path, argv, field, expected

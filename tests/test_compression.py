@@ -384,6 +384,22 @@ class TestReplayEquivalence:
         assert list(map(summary, replayed)) == [ContractViolationError]
         self.assert_matches_reference(cls, scheme, [1, 2])
 
+    def test_a_failure_met_after_a_larger_size_raised_decides(self):
+        # the walk meets the size-2 exception first, at ((0, 0), (0, 0)),
+        # and the size-1 failure at ((0, 1),) after it: only the failure
+        # is reported, as verifying size 1 alone reports it
+        def compress(sample):
+            if len(sample) > 1:
+                raise ZeroDivisionError("no key for size 2")
+            return CompressionKey(sample, "")
+
+        cls = tclass((0, 0), (1, 1))
+        scheme = CompressionScheme("raises-at-2", compress, lambda k: (0, 0))
+        replayed = replay_scheme(cls, scheme, 1, 2)
+        assert [type(o) for o in replayed] == [SchemeReport]
+        assert replayed[0].valid is False
+        self.assert_matches_reference(cls, scheme, [1, 2])
+
     def test_reconstruct_runs_once_per_distinct_key(self):
         calls = collections.Counter()
         star = star_biclique_scheme(6)
@@ -438,6 +454,8 @@ class TestCountingBound:
 
     def test_direct_sum_evaluation(self):
         assert counting_bound(2, 2, 1, 0) == 5
+        # k >= m sums every term: (1 + c)^m keys, times 3 bit strings
+        assert counting_bound(2, 2, 5, 1) == 3**2 * 3
 
     def test_monotone_in_every_argument(self):
         base = counting_bound(3, 2, 1, 1)
@@ -835,8 +853,8 @@ class TestMinCompressionSize:
             min_compression_certificate(cls, 4, 0)
         message = str(info.value)
         assert message == (
-            "key lists of 204 ids exceed the key-list budget of 100 at k=1; "
-            "refuted k-levels: [0]"
+            "key lists of 204 sub-multisets exceed the key-list budget of 100 "
+            "at k=1; refuted k-levels: [0]"
         )
         assert "node budget" not in message
         assert info.value.report == {
@@ -949,6 +967,38 @@ class TestExtractDisambiguation:
         monkeypatch.setattr(compression, "EXTRACTION_KEY_BUDGET", keys - 1)
         with pytest.raises(BudgetError, match=f"key budget {keys - 1}"):
             extract_disambiguation(cls, scheme, 1, 1)
+
+    def test_probes_the_keys_of_the_per_size_enumeration(self):
+        # the one walk probes the same keys, each as often, as the empty
+        # subsample followed by one enumeration per size
+        rng = random.Random(31)
+        for _ in range(60):
+            cls = random_partial_class(
+                rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3),
+                star_probability=0.4,
+            )
+            k, bits = rng.randint(0, 3), rng.randint(0, 1)
+            probed = collections.Counter()
+
+            def reconstruct(key, probed=probed, n=cls.domain_size):
+                probed[key] += 1
+                return (0,) * n
+
+            scheme = CompressionScheme("probed", None, reconstruct)
+            try:
+                extract_disambiguation(cls, scheme, k, bits)
+            except ContractViolationError:
+                pass  # the all-zero concept need not cover the class
+            expected = collections.Counter(
+                CompressionKey(subsample, b)
+                for size in range(k + 1)
+                for subsample in (
+                    [Sample(())] if size == 0
+                    else enumerate_realizable_samples(cls, size)
+                )
+                for b in ("", "0", "1")[: 2 ** (bits + 1) - 1]
+            )
+            assert probed == expected, (cls, k, bits)
 
     def test_coverage_check_agrees_with_enumerating_oracle(self):
         rng = random.Random(29)
