@@ -5,8 +5,7 @@ The exact minimum-size oracle is a list coloring (the compression-coloring
 link of Alon, Hanneke, Holzman and Moran, FOCS 2021): realizable samples are
 the vertices, a sample's candidate keys are its list, and samples that
 disagree on a shared point must not share a key.  ``class_coloring`` is
-the one exact search behind it, behind ``list_coloring`` and behind
-``lowerbound.chromatic_number``.
+the one exact search behind it and behind ``lowerbound.chromatic_number``.
 
 A scheme is a deterministic pair (compress, reconstruct): compress maps a
 realizable sample to a key holding a subsample of it plus a bit string;
@@ -25,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
+from conceptlab import core
 from conceptlab.core import (
     STAR,
     ClassKind,
@@ -135,7 +135,11 @@ def replay_scheme(
     checking of every size above d; an exception also ends its own size.
     The walk is read one way: a sample larger than the largest size still
     checked is skipped, and the walk ends as soon as no size is left to
-    check.  The per-size state covers [low, high] only.
+    check.  The per-size state covers [low, high] only.  When the walk
+    stops at ``core.SAMPLE_SIZE_BUDGET``, the sizes within the budget are
+    complete, and the first size past it that is still checked gets the
+    walk's BudgetError, carrying its empty report (``valid`` None), as a
+    sample-budget cut does.
 
     Each distinct key (subsample entries, bits) is measured once: its size,
     the bitset of the pair ranks of its entries (an entry no concept holds
@@ -165,55 +169,63 @@ def replay_scheme(
     checked = [0] * (high - low + 1)
     raised: Optional[Exception] = None  # what ended size top + 1, if anything
     top = high - low  # the largest size still checked, as an index
-    for sample, ranks in walk_realizable_samples(cls, low, high):
-        entries = sample.entries
-        d = len(entries) - low
-        if d > top:
-            continue
-        if sample_budget is not None and checked[d] == sample_budget:
-            m = d + low
-            raised = BudgetError(
-                f"sample budget {sample_budget} exhausted at size {m}",
-                report=SchemeReport(None, m, k_of[d], tuple(failures[d]), checked[d]),
-            )
+    try:
+        for sample, ranks in walk_realizable_samples(cls, low, high):
+            entries = sample.entries
+            d = len(entries) - low
+            if d > top:
+                continue
+            if sample_budget is not None and checked[d] == sample_budget:
+                raised = BudgetError(
+                    f"sample budget {sample_budget} exhausted at size {d + low}",
+                    report=SchemeReport(
+                        None, d + low, k_of[d], tuple(failures[d]), checked[d]
+                    ),
+                )
+                top = d - 1
+            else:
+                checked[d] += 1
+                try:
+                    key = compress(sample)
+                    sub = key.subsample.entries
+                    ident = (sub, key.bits)
+                    facts = known.get(ident)
+                    if facts is None:
+                        key_ranks = 0
+                        for entry in sub:
+                            key_ranks |= rank_bit.get(entry, outside)
+                        size = max(len(sub), len(key.bits))
+                        facts = known[ident] = [size, key_ranks, None, 0]
+                    size, key_ranks, concept, agree = facts
+                    if size > k_of[d]:
+                        k_of[d] = size
+                    # element-wise containment: a key may repeat an entry of
+                    # the sample (block padding does) but may not add one it
+                    # lacks
+                    if key_ranks & ~ranks:
+                        bad = next(e for e in sub if e not in entries)[0]
+                    else:
+                        if concept is None:
+                            concept = reconstruct(key)
+                            _check_reconstruction(scheme, key, concept, domain_size)
+                            agree = 0
+                            for pair in enumerate(concept):
+                                agree |= rank_bit.get(pair, 0)
+                            facts[2:] = concept, agree
+                        if not ranks & ~agree:
+                            continue
+                        bad = next(i for i, y in entries if concept[i] != y)
+                    failures[d].append((sample, bad))
+                    top, raised = d, None
+                except Exception as exc:
+                    top, raised = d - 1, exc
+            if top < 0:
+                break
+    except BudgetError as exc:  # the walk's sample-size budget
+        d = max(core.SAMPLE_SIZE_BUDGET + 1 - low, 0)  # the first size past it
+        if d <= top:
+            raised = BudgetError(str(exc), report=SchemeReport(None, low + d, 0, (), 0))
             top = d - 1
-        else:
-            checked[d] += 1
-            try:
-                key = compress(sample)
-                sub = key.subsample.entries
-                ident = (sub, key.bits)
-                facts = known.get(ident)
-                if facts is None:
-                    key_ranks = 0
-                    for entry in sub:
-                        key_ranks |= rank_bit.get(entry, outside)
-                    size = max(len(sub), len(key.bits))
-                    facts = known[ident] = [size, key_ranks, None, 0]
-                size, key_ranks, concept, agree = facts
-                if size > k_of[d]:
-                    k_of[d] = size
-                # element-wise containment: a key may repeat an entry of the
-                # sample (block padding does) but may not add one it lacks
-                if key_ranks & ~ranks:
-                    bad = next(e for e in sub if e not in entries)[0]
-                else:
-                    if concept is None:
-                        concept = reconstruct(key)
-                        _check_reconstruction(scheme, key, concept, domain_size)
-                        agree = 0
-                        for pair in enumerate(concept):
-                            agree |= rank_bit.get(pair, 0)
-                        facts[2:] = concept, agree
-                    if not ranks & ~agree:
-                        continue
-                    bad = next(i for i, y in entries if concept[i] != y)
-                failures[d].append((sample, bad))
-                top, raised = d, None
-            except Exception as exc:
-                top, raised = d - 1, exc
-        if top < 0:
-            break
     outcomes: list[SchemeReport | Exception] = [
         SchemeReport(not failed, low + d, k_of[d], tuple(failed), checked[d])
         for d, failed in enumerate(failures[: top + 1])
@@ -618,26 +630,6 @@ def class_coloring(
     return None
 
 
-def list_coloring(
-    lists: Sequence[Sequence[int]],
-    conflicts: Sequence[int],
-    *,
-    node_budget: Optional[int] = None,
-) -> Optional[list[int]]:
-    """``class_coloring`` on lists of color ids: vertex v may take the
-    colors ``lists[v]``, distinct non-negative ints in ascending order.
-    Colors listed by exactly the same vertices form a class, ranked by id;
-    each color of a list becomes a one-color run, and the coloring found
-    is given back in ids."""
-    holders: dict[int, list[int]] = {}
-    for v, colors in enumerate(lists):
-        for c in colors:
-            holders.setdefault(c, []).append(v)
-    classes, runs, capacity = _color_classes(holders, 1, len(lists))
-    found = class_coloring(runs, capacity, conflicts, node_budget=node_budget)
-    return None if found is None else [classes[cl][r] for cl, r in found]
-
-
 def _color_classes(
     holders: dict, width: int, n: int
 ) -> tuple[list[list], list[list[tuple[int, int, int]]], list[int]]:
@@ -846,11 +838,12 @@ def min_compression_certificate(
     sample of size m lists that key.
 
     Raises BudgetError when more than ``SAMPLE_BUDGET`` samples are
-    realizable, or when one k-level would list more than
-    ``KEY_LIST_BUDGET`` sub-multisets or its search tries more than
-    ``node_budget`` nodes; the latter two name the levels already refuted,
-    and their ``report`` holds them as ``{"m", "bit_budget", "k",
-    "refuted"}``.
+    realizable, when a realizable sample of size m would pass
+    ``core.SAMPLE_SIZE_BUDGET`` entries, or when one k-level would list
+    more than ``KEY_LIST_BUDGET`` sub-multisets or its search tries more
+    than ``node_budget`` nodes; the latter two name the levels already
+    refuted, and their ``report`` holds them as ``{"m", "bit_budget",
+    "k", "refuted"}``.
     """
     if bit_budget < 0:
         raise ValueError(f"bit budget must be non-negative, got {bit_budget}")

@@ -31,6 +31,9 @@ STAR: int = -1
 TABLE_ENTRY_BUDGET = 1_000_000
 """Most table entries (concepts times domain points) a generator builds."""
 
+SAMPLE_SIZE_BUDGET = 1_000_000
+"""Most entries in a sample ``walk_realizable_samples`` builds."""
+
 
 class ClassKind(str, Enum):
     PARTIAL = "partial"
@@ -225,6 +228,13 @@ def walk_realizable_samples(
     depth is first reached, and a sample's tuple is built only when it is
     yielded.  The walk is empty when high < low, and ValueError when
     low < 1.
+
+    No sample of more than ``SAMPLE_SIZE_BUDGET`` entries is built.  Where
+    the walk would first go deeper than that, it stops descending: it
+    yields the rest of the samples of the sizes within the budget, then
+    raises BudgetError.  The check runs only when a depth is first
+    reached, so no sample pays for it, and a class that realizes no
+    sample past the budget never trips it.
     """
     if low < 1:
         raise ValueError("sample size must be at least 1")
@@ -273,6 +283,13 @@ def walk_realizable_samples(
             yield sample, ranks
         depth += 1
         if depth > reached:  # the walk first reaches this depth
+            if depth == SAMPLE_SIZE_BUDGET:
+                # its samples would pass the budget: the depth above becomes
+                # the last, so that its remaining samples still come out
+                last = depth = depth - 1
+                if depth < low - 1:  # no size within the budget is asked for
+                    break
+                continue
             reached = depth
             below.append(0)
             alive.append(0)
@@ -280,6 +297,8 @@ def walk_realizable_samples(
         below[depth] = ranks
         alive[depth] = live & masks[j]
         start[depth] = j
+    if last < high - 1:
+        raise BudgetError(f"sample size budget {SAMPLE_SIZE_BUDGET} exhausted")
 
 
 def enumerate_realizable_samples(cls: ConceptClass, m: int) -> Iterator[Sample]:

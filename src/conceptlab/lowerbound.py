@@ -188,7 +188,7 @@ def pipeline_certificate(
 ) -> PipelineReport:
     """Run the full chain on K_t with its star partition: verify the scheme
     on the partial class at every sample size up to the support size, all
-    sizes from one walk (``replay_scheme``) and read in ascending size,
+    sizes from one walk (``replay_scheme``, whose last outcome decides),
     extract the disambiguation from the key space (subsamples of size <= k,
     bit strings of length <= bit_budget), and check
 
@@ -225,17 +225,11 @@ def pipeline_certificate(
     )
     if not report.feasible:
         return report
-    scheme_valid = True
-    for outcome in replay_scheme(partial, scheme, 1, n):
-        if isinstance(outcome, ContractViolationError):
-            scheme_valid = False
-        elif isinstance(outcome, Exception):
-            raise outcome
-        else:
-            scheme_valid = outcome.valid is True
-        if not scheme_valid:
-            break
-    if not scheme_valid:
+    # every outcome before the last is a valid report, so the last decides
+    last = replay_scheme(partial, scheme, 1, n)[-1]
+    if isinstance(last, Exception) and not isinstance(last, ContractViolationError):
+        raise last
+    if isinstance(last, Exception) or last.valid is not True:
         return dataclasses.replace(report, scheme_valid=False, ok=False)
     report = dataclasses.replace(report, scheme_valid=True)
     try:

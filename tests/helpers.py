@@ -1,10 +1,17 @@
 """Compositions of package calls that the tests use and the package does
 not.  Unlike ``oracles``, these reuse the package: each is a shorthand for
-a few public calls, not an independent reference."""
+a few package calls, not an independent reference.  ``list_coloring`` also
+calls the private ``compression._color_classes``, the layout that key
+search gives ``class_coloring``."""
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from conceptlab.compression import min_compression_certificate, verify_scheme
+from conceptlab.compression import (
+    _color_classes,
+    class_coloring,
+    min_compression_certificate,
+    verify_scheme,
+)
 from conceptlab.core import ConceptClass, Sample, dual
 from conceptlab.dimensions import ShatterKind, dimension
 from conceptlab.errors import ContractViolationError
@@ -45,3 +52,23 @@ def min_compression_size(cls: ConceptClass, m: int, bit_budget: int) -> int:
             f"certificate at k={k} failed replay: {report.failures[:3]}"
         )
     return k
+
+
+def list_coloring(
+    lists: Sequence[Sequence[int]],
+    conflicts: Sequence[int],
+    *,
+    node_budget: Optional[int] = None,
+) -> Optional[list[int]]:
+    """``class_coloring`` on lists of color ids: vertex v may take the
+    colors ``lists[v]``, distinct non-negative ints in ascending order.
+    Colors listed by exactly the same vertices form a class, ranked by id;
+    each color of a list becomes a one-color run, and the coloring found
+    is given back in ids."""
+    holders: dict[int, list[int]] = {}
+    for v, colors in enumerate(lists):
+        for c in colors:
+            holders.setdefault(c, []).append(v)
+    classes, runs, capacity = _color_classes(holders, 1, len(lists))
+    found = class_coloring(runs, capacity, conflicts, node_budget=node_budget)
+    return None if found is None else [classes[cl][r] for cl, r in found]

@@ -583,9 +583,9 @@ def _clique_exceeds_lists(lists, conflicts):
 def list_coloring_rescan(lists, conflicts, node_budget=None):
     """The exact list coloring search as it was before saturation counts
     were kept incrementally: at every node, ``select`` recounts the usable
-    colors of every uncolored vertex.  The reference for the package's
-    ``list_coloring``, which must return the same coloring (or None) after
-    the same number of nodes.
+    colors of every uncolored vertex.  The reference for
+    ``helpers.list_coloring``, which must return the same coloring (or
+    None) after the same number of nodes.
 
     A greedy clique refutation first; then DSatur: the uncolored vertex
     with the fewest usable colors, ties to the lowest index, the scan

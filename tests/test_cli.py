@@ -755,6 +755,20 @@ class TestOversizedInputs:
             (["extract-disambiguation", "--class", "{void}", "--k",
               "1000000000", "--bits", "0"], 0,
              {"size": 1, "counting_bound": 1}),
+            # the one-point class realizes one sample per size, and one of
+            # 10^8 entries is past the sample-size budget
+            (["min-compression", "--class", "{one}", "--m", "100000000",
+              "--bits", "0"], 3, None),
+            (["verify-compression", "--class", "{one}", "--scheme", "boosted",
+              "--m", "100000000"], 3,
+             {"reports": [{"valid": None, "m": 100000000, "k_of_m": 0,
+                           "samples_checked": 0, "failures": []}]}),
+            (["verify-compression", "--class", "{one}", "--scheme", "boosted",
+              "--m", "2", "--m", "100000000"], 3,
+             {"reports": [{"valid": True, "m": 2, "k_of_m": 24,
+                           "samples_checked": 1, "failures": []},
+                          {"valid": None, "m": 100000000, "k_of_m": 0,
+                           "samples_checked": 0, "failures": []}]}),
         ],
         ids=[
             "pipeline-bits30", "extract-bits30", "pipeline-bits1e9",
@@ -763,6 +777,8 @@ class TestOversizedInputs:
             "pipeline-t20000-boosted", "gen-haussler-long", "gen-biclique",
             "gen-random", "pipeline-t1e9-k1e9", "verify-compression-void-m1e9",
             "min-compression-void-m1e9", "extract-void-k1e9",
+            "min-compression-one-m1e8", "verify-compression-one-m1e8",
+            "verify-compression-one-m2-m1e8",
         ],
     )
     def test_exits_fast_without_traceback(self, tmp_path, argv, code, fields):
@@ -770,6 +786,7 @@ class TestOversizedInputs:
             "b4": tmp_path / "b4.json",
             "cube": tmp_path / "cube.json",
             "void": tmp_path / "void.json",
+            "one": tmp_path / "one.json",
         }
         run_cli("gen", "--family", "biclique", "--t", "4", "--out", str(files["b4"]))
         run_cli(
@@ -781,6 +798,10 @@ class TestOversizedInputs:
             "gen", "--family", "random", "--points", "2", "--concepts", "1",
             "--labels", "1", "--partial", "--star-prob", "1", "--out",
             str(files["void"]),
+        )
+        files["one"].write_text(
+            dumps_class(ConceptClass(1, ((0,),), ClassKind.TOTAL)),
+            encoding="utf-8",
         )
         proc = _run_limited([arg.format(**files) for arg in argv])
         assert proc.returncode == code, proc.stderr

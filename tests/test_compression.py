@@ -9,7 +9,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import is_realizable, min_compression_size
+from helpers import is_realizable, list_coloring, min_compression_size
 from conceptlab import compression
 from conceptlab.core import (
     STAR,
@@ -29,7 +29,6 @@ from conceptlab.compression import (
     class_coloring,
     counting_bound,
     extract_disambiguation,
-    list_coloring,
     min_compression_certificate,
     replay_scheme,
     star_biclique_scheme,
@@ -860,6 +859,15 @@ class TestMinCompressionSize:
         assert info.value.report == {
             "m": 4, "bit_budget": 0, "k": 1, "refuted": [0],
         }
+
+    def test_sample_budget_exit_carries_no_report(self):
+        # 48,620 realizable samples of size 9; the CLI prints nothing on
+        # this exit because the error carries no report
+        cls = biclique_class(star_partition(10))
+        with pytest.raises(BudgetError) as info:
+            min_compression_certificate(cls, 9, 0)
+        assert str(info.value) == "more than 20000 realizable samples of size 9"
+        assert info.value.report is None
 
     def test_feasibility_agrees_with_bruteforce_oracle(self):
         # every level k <= m of small seeded partial classes: the search

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import is_realizable, restrict
+from conceptlab import core
 from conceptlab.core import (
     STAR,
     ClassKind,
@@ -25,9 +26,16 @@ from conceptlab.core import (
     union_disjoint,
     walk_realizable_samples,
 )
-from conceptlab.compression import _erm_index
+from conceptlab.compression import (
+    CompressionKey,
+    CompressionScheme,
+    SchemeReport,
+    _erm_index,
+    replay_scheme,
+    verify_scheme,
+)
 from conceptlab.constructions import biclique_class, star_partition
-from conceptlab.errors import RealizabilityError
+from conceptlab.errors import BudgetError, RealizabilityError
 from conceptlab.random_classes import random_partial_class
 
 
@@ -235,6 +243,46 @@ class TestEnumerate:
             cls = random_partial_class(rng, 4, 5, 3)
             for sample in enumerate_realizable_samples(cls, 2):
                 assert is_realizable(cls, sample)
+
+
+class TestSampleSizeBudget:
+    """No sample past ``SAMPLE_SIZE_BUDGET`` entries is built: the walk
+    finishes the sizes within it, then raises."""
+
+    def test_sizes_within_the_budget_come_out_in_full(self, monkeypatch):
+        monkeypatch.setattr(core, "SAMPLE_SIZE_BUDGET", 50)
+        cls = pclass((0, STAR), (1, 0))
+        within = list(walk_realizable_samples(cls, 3, 50))
+        walked = []
+        with pytest.raises(BudgetError, match="sample size budget 50 exhausted"):
+            walked.extend(walk_realizable_samples(cls, 3, 51))
+        assert walked == within
+        walked.clear()
+        with pytest.raises(BudgetError):
+            walked.extend(walk_realizable_samples(cls, 51, 60))
+        assert walked == []
+        # exactly at the budget nothing trips
+        assert list(walk_realizable_samples(cls, 50, 50)) == [
+            (sample, ranks) for sample, ranks in within if len(sample) == 50
+        ]
+
+    def test_replay_reports_the_sizes_within_then_the_cut(self, monkeypatch):
+        monkeypatch.setattr(core, "SAMPLE_SIZE_BUDGET", 50)
+        cls = tclass((0, 1))
+        scheme = CompressionScheme(
+            "constant", lambda sample: CompressionKey(Sample(())),
+            lambda key: (0, 1),
+        )
+        *reports, cut = replay_scheme(cls, scheme, 1, 60)
+        assert reports == replay_scheme(cls, scheme, 1, 50)
+        assert [(r.valid, r.m, r.samples_checked) for r in reports] == [
+            (True, m, m + 1) for m in range(1, 51)
+        ]
+        assert isinstance(cut, BudgetError)
+        assert cut.report == SchemeReport(None, 51, 0, (), 0)
+        with pytest.raises(BudgetError) as info:
+            verify_scheme(cls, scheme, 60)
+        assert info.value.report == SchemeReport(None, 60, 0, (), 0)
 
 
 @st.composite
