@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from conceptlab import core
 from conceptlab.core import (
@@ -292,11 +292,10 @@ def counting_bound(m: int, c: int, k: int, bit_budget: int) -> int:
     raise BudgetError(f"counting bound past {COUNTING_BIT_BUDGET} bits")
 
 
-def _bitstrings(bit_budget: int) -> Iterator[str]:
-    """All bit strings of length 0..bit_budget, shortest first, then lex."""
-    for length in range(bit_budget + 1):
-        for bits in itertools.product("01", repeat=length):
-            yield "".join(bits)
+def _bit_string(j: int) -> str:
+    """Bit string number j (from 0) in the order shortest first, then
+    lexicographic: j + 1 in binary without its leading 1."""
+    return format(j + 1, "b")[1:]
 
 
 def _sub_multisets(entries: tuple[tuple[int, int], ...], size_cap: int):
@@ -673,16 +672,16 @@ class _KeySpace:
     ``conflicts[v]`` is the int bitset of the samples that disagree with
     sample v on a shared point; no level changes it.  At level k, a
     sample's keys are its distinct sub-multisets of at most k entries, each
-    with one of the first ``width`` bit strings (shortest first, then
-    lexicographic).  ``holders`` maps every listed sub-multiset to the
-    samples listing it, ascending.  ``layout`` groups the sub-multisets
-    with the same holders into one class of interchangeable keys, whose
-    rank p * width + j is its p-th sub-multiset, ascending, with bit string
-    j; each sample gets one run (class, p * width, (p + 1) * width) per
-    sub-multiset, in ascending order, so that the runs follow the candidate
-    order (sub-multiset, then bits) and no key is listed one by one: the
-    state does not grow with the bit budget.  A new space stands at level
-    0, where each sample lists the empty sub-multiset.
+    with one of the first ``width`` bit strings in ``_bit_string`` order.
+    ``holders`` maps every listed sub-multiset to the samples listing it,
+    ascending.  ``layout`` groups the sub-multisets with the same holders
+    into one class of interchangeable keys, whose rank p * width + j is its
+    p-th sub-multiset, ascending, with bit string j; each sample gets one
+    run (class, p * width, (p + 1) * width) per sub-multiset, in ascending
+    order, so that the runs follow the candidate order (sub-multiset, then
+    bits) and no key is listed one by one: the state does not grow with the
+    bit budget.  A new space stands at level 0, where each sample lists the
+    empty sub-multiset.
     """
 
     def __init__(self, samples: Sequence[Sample], bit_budget: int) -> None:
@@ -783,10 +782,8 @@ def _find_assignment(
     found = {}
     for cl, r in set(colors):
         p, j = divmod(r, keys.width)
-        # bit string j (shortest first, then lexicographic) is j + 1 in
-        # binary without its leading 1
         sub = Sample._canonical(classes[cl][p])
-        found[cl, r] = CompressionKey(sub, format(j + 1, "b")[1:])
+        found[cl, r] = CompressionKey(sub, _bit_string(j))
     return {sample: found[c] for sample, c in zip(keys.samples, colors)}
 
 
@@ -908,7 +905,9 @@ def extract_disambiguation(
 
     The caller is responsible for the scheme being valid on ``cls`` for all
     sample sizes up to the support size; the reconstruction must tolerate
-    every probed key (table schemes fall back to their default).
+    every probed key, which every built-in scheme does (table schemes fall
+    back to their default, and the boosted and star schemes answer every
+    key, the empty one included).
 
     The subsamples are streamed, and the keys counted as they are probed:
     BudgetError before probing key number ``EXTRACTION_KEY_BUDGET + 1``.
@@ -924,7 +923,12 @@ def extract_disambiguation(
     concepts: dict[tuple[int, ...], None] = {}  # distinct, in probe order
     probed = 0
     for subsample in subsamples:
-        for bits in _bitstrings(bit_budget):
+        # bit strings by number, so no count of them (2^(bit_budget+1) - 1)
+        # is ever built
+        for j in itertools.count():
+            bits = _bit_string(j)
+            if len(bits) > bit_budget:
+                break
             if probed == EXTRACTION_KEY_BUDGET:
                 raise BudgetError(
                     f"extraction key budget {EXTRACTION_KEY_BUDGET} exhausted"
@@ -983,7 +987,6 @@ def to_binary_class(cls: ConceptClass) -> ConceptClass:
 # when its weighted error is at most 1/2 - 1/8 = 3/8, and each round scales
 # the weights of correctly handled entries by beta = (3/8) / (5/8) = 3/5.
 WEAK_ERROR = (3, 8)  # (numerator, denominator)
-HEADER_BITS = 24  # 8-bit block size + 16-bit round count, big-endian
 ROUND_CAP_FACTOR = 64  # boosting rounds per bit of log2(m + 1)
 
 
@@ -1001,10 +1004,12 @@ def boosted_scheme(
 ) -> CompressionScheme:
     """Majority-vote compression via multiplicative-weights boosting.
 
-    reconstruct: check the fixed 24-bit header (8-bit block size s, 16-bit
-    round count), cut the sorted key entries into runs of s, take the
-    first-consistent-concept ERM of each run, and return the plurality vote
-    over the full domain (ties toward the lowest label).
+    reconstruct: cut the sorted key entries into runs of s (the last run
+    may be shorter, and the empty key is one empty run, whose ERM is the
+    first concept), take the first-consistent-concept ERM of each run, and
+    return the plurality vote over the full domain (ties toward the lowest
+    label).  It reads the key's entries only, never its bits, so it answers
+    every key whose runs are realizable, as extraction needs.
 
     compress: repeatedly pick the first sub-multiset (at most
     ``subsample_size`` entries, increasing size then lexicographic) whose
@@ -1012,6 +1017,9 @@ def boosted_scheme(
     entries by repeating its first entry, and add it to the key; return the
     first key whose ``reconstruct`` is correct on the whole sample,
     otherwise downweight the entries the chosen block's concept gets right.
+    The key's bits are a 24-bit header, s in 8 bits and the round count in
+    16, both implied by the entries; it is still written because the
+    measured key size ``k_of_m`` counts it.
     The key is a sorted multiset, so the runs the reconstructor votes over
     need not be the chosen blocks: the AdaBoost.M1 bound covers the vote of
     the chosen blocks, not this one, and a realizable sample can still
@@ -1025,9 +1033,8 @@ def boosted_scheme(
     decision is that of normalised rational weights.
 
     The scheme memoizes the ERM index of every block it meets, and the vote
-    of every key's entries once the header checks, both shared by compress
-    and reconstruct for the life of the scheme object.  Every key is the
-    same as without the memos.
+    of every key's entries, both shared by compress and reconstruct for the
+    life of the scheme object.  Every key is the same as without the memos.
 
     ``subsample_size`` defaults to max(1, graph dimension of the class).
     """
@@ -1052,19 +1059,12 @@ def boosted_scheme(
         return idx
 
     def reconstruct(key: CompressionKey) -> tuple[int, ...]:
-        bits = key.bits
-        if len(bits) != HEADER_BITS:
-            raise ValueError(f"malformed header: {bits!r}")
-        size = int(bits[:8], 2)
-        rounds = int(bits[8:], 2)
         entries = key.subsample.entries
-        if size != subsample_size or rounds < 1 or len(entries) != size * rounds:
-            raise ValueError("header does not match subsample length")
         voted = vote_of.get(entries)
         if voted is None:
             voters = [
-                cls.concepts[erm(entries[r : r + size])]
-                for r in range(0, len(entries), size)
+                cls.concepts[erm(entries[r : r + subsample_size])]
+                for r in range(0, len(entries) or 1, subsample_size)
             ]
             voted = vote_of[entries] = tuple(
                 min(set(labels), key=lambda y: (-labels.count(y), y))
@@ -1095,7 +1095,9 @@ def boosted_scheme(
                     "subsample size"
                 )
             padded.extend(block + (block[0],) * (subsample_size - len(block)))
-            # the entries come from an already validated sample
+            # the entries come from an already validated sample; the header
+            # (s, round count) is implied by them and written only because
+            # k_of_m counts it
             key = CompressionKey(
                 Sample._canonical(tuple(sorted(padded))),
                 format(subsample_size, "08b") + format(rounds, "016b"),

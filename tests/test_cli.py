@@ -472,6 +472,21 @@ class TestPipelineCommand:
         }
 
 
+    def test_boosted_scheme_needs_a_total_class(self):
+        # the pipeline's class is partial, so the boosted scheme is refused
+        # before anything is replayed
+        proc = subprocess.run(
+            [sys.executable, "-m", "conceptlab.cli", "pipeline", "--t", "6",
+             "--k", "1", "--bits", "0", "--scheme", "boosted"],
+            capture_output=True,
+            text=True,
+            env=SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "usage error: boosted schemes require a total class\n"
+        assert proc.stdout == ""
+
+
 class TestReport:
     def test_report_table_rows_sorted_by_m(self):
         reports = [
@@ -755,6 +770,9 @@ class TestOversizedInputs:
             (["extract-disambiguation", "--class", "{void}", "--k",
               "1000000000", "--bits", "0"], 0,
              {"size": 1, "counting_bound": 1}),
+            # the boosted reconstructor answers the empty key
+            (["extract-disambiguation", "--class", "{one}", "--scheme",
+              "boosted", "--k", "1", "--bits", "0"], 0, {"size": 1}),
             # the one-point class realizes one sample per size, and one of
             # 10^8 entries is past the sample-size budget
             (["min-compression", "--class", "{one}", "--m", "100000000",
@@ -777,6 +795,7 @@ class TestOversizedInputs:
             "pipeline-t20000-boosted", "gen-haussler-long", "gen-biclique",
             "gen-random", "pipeline-t1e9-k1e9", "verify-compression-void-m1e9",
             "min-compression-void-m1e9", "extract-void-k1e9",
+            "extract-one-boosted",
             "min-compression-one-m1e8", "verify-compression-one-m1e8",
             "verify-compression-one-m2-m1e8",
         ],

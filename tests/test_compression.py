@@ -2,6 +2,7 @@
 counting bound, extraction, the binary reduction, and the boosted scheme."""
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from conceptlab.compression import (
     SchemeReport,
     TableScheme,
     _KeySpace,
+    _bit_string,
     _find_assignment,
     boosted_scheme,
     class_coloring,
@@ -530,6 +532,17 @@ def list_instances(draw):
             conflicts[u] |= 1 << v
             conflicts[v] |= 1 << u
     return lists, conflicts
+
+
+class TestBitStringOrder:
+    @pytest.mark.parametrize("budget", range(6))
+    def test_shortest_first_then_lexicographic(self, budget):
+        expected = [
+            "".join(bits)
+            for length in range(budget + 1)
+            for bits in itertools.product("01", repeat=length)
+        ]
+        assert [_bit_string(j) for j in range(2 ** (budget + 1) - 1)] == expected
 
 
 class TestListColoring:
@@ -1173,6 +1186,22 @@ class TestBoostedScheme:
     def test_total_class_required(self):
         with pytest.raises(ValueError):
             boosted_scheme(biclique_class(star_partition(3)))
+
+    def test_empty_key_reconstructs_the_first_concept(self):
+        for cls in (haussler_long_class(4, 2, 1), graph_dim_blowup_example()[1]):
+            scheme = boosted_scheme(cls)
+            assert scheme.reconstruct(CompressionKey(Sample(()))) == cls.concepts[0]
+
+    def test_extraction_answers_every_probed_key(self):
+        cls = haussler_long_class(4, 3, 2)
+        out = extract_disambiguation(cls, boosted_scheme(cls), 2, 1)
+        assert out.n_concepts == 33
+
+    def test_extraction_below_the_block_size_fails_coverage(self):
+        # one-entry keys cannot hold a block of s = 2
+        cls = haussler_long_class(3, 2, 2)
+        with pytest.raises(ContractViolationError):
+            extract_disambiguation(cls, boosted_scheme(cls), 1, 0)
 
     @pytest.mark.parametrize(
         "cls, max_m, subsample_size, converges",
