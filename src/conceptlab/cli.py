@@ -208,9 +208,9 @@ def _verify_compression(args: argparse.Namespace) -> int:
         "scheme": scheme.name,
         "reports": [rep.to_json() for rep in reports],
     }
-    _emit(_json_text(payload), args.out)
     if args.csv:
         Path(args.csv).write_text(report_table(reports), encoding="utf-8")
+    _emit(_json_text(payload), args.out)
     if cut is not None:
         raise cut
     if not all(rep.valid for rep in reports):
@@ -237,11 +237,11 @@ def _min_compression(args: argparse.Namespace) -> int:
         raise
     replay = verify_scheme(cls, table.as_scheme("min-compression"), args.m)
     payload.update(k=k, certificate_valid=replay.valid)
-    _emit(_json_text(payload), args.out)
     if args.certificate:
         Path(args.certificate).write_text(
             _json_text(table.to_json()), encoding="utf-8"
         )
+    _emit(_json_text(payload), args.out)
     if replay.valid is False:
         return EXIT_CONTRACT
     return EXIT_OK

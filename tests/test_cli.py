@@ -316,6 +316,28 @@ class TestCompressionCommands:
         assert data["certificate_valid"] is True
         assert cert.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min-compression", "--m", "2", "--bits", "0", "--certificate"],
+            ["verify-compression", "--scheme", "boosted", "--m", "2", "--csv"],
+        ],
+        ids=["certificate", "csv"],
+    )
+    def test_unwritable_side_output_prints_no_report(
+        self, hl_file, tmp_path, capsys, argv
+    ):
+        # the side file is written before the report, so exit 2 leaves
+        # stdout empty
+        code = run_cli(
+            *argv, str(tmp_path / "missing" / "out"), "--class", str(hl_file)
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error:")
+
     def test_extraction_takes_no_subsample_size(self, hl_file, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(
@@ -705,6 +727,27 @@ class TestProcessLevel:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    def test_package_namespace_reexports_nothing(self):
+        # each name has one import path, its own module; the package
+        # namespace holds only what the benchmark reads, and importing
+        # core loads no search module
+        child = (
+            "import sys, conceptlab\n"
+            "print([n for n in sorted(vars(conceptlab)) if n[0] != '_'])\n"
+            "import conceptlab.core\n"
+            "print(sorted(m for m in sys.modules if m.startswith('conceptlab')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env=SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        public, loaded = proc.stdout.splitlines()
+        assert public == str(["KERNEL_BACKEND"])
+        assert loaded == str(["conceptlab", "conceptlab.core", "conceptlab.errors"])
 
 
 def _limit_address_space():
