@@ -73,28 +73,43 @@ each kind, because distinct restrictions come from distinct concepts:
   j, 2^(d-1) of them; the other 2^(d-1) disagree with it there, with a
   defined label, since the class is total.
 
-On a partial class ``dimension`` also skips, after counting it as tried,
-every subset S of size d on which fewer than 2^d concepts are defined at
-every point, read as the AND over S of per-point bitsets of the concepts
-defined there.  DS and VC both need 2^d distinct full-support patterns on
-S (the count in ``ds_shatters``; the 2^d binary patterns), and each comes
-from a concept defined on all of S, so such an S is never shattered; the
-checker would reject it by that count.  Natarajan and graph need a total
-class, where every concept is defined everywhere.
+For DS and VC, ``dimension`` also skips every subset that extends a dead
+prefix.  It scans each level as a tree of prefixes in lexicographic order.
+The live set L(P) of a prefix P starts as the concepts defined at every
+point of P; then, round after round, it drops every concept whose label at
+some point of P is carried by fewer than 2^(d-1) concepts of L(P), until a
+round drops none.  P is dead when |L(P)| < 2^d.  Proof that no size-d
+subset S extending a dead P is shattered: if S is DS-shattered by the
+neighbor-closed set W (a VC-shattered S is, by all 2^d binary patterns),
+let R be the concepts whose restriction to S lies in W.  The patterns of W
+have full support, so R starts inside L(P).  No round drops a concept c of
+R: at each point j of P, the fibre of W with c's label at j holds at least
+2^(d-1) patterns (the split above), each from a distinct concept of R with
+that label at j.  So |L(P)| >= |R| >= |W| >= 2^d.  Adding a point only
+shrinks the start and adds conditions, so L(P) lies inside its parent's
+live set, and it is computed by filtering that set: a concept undefined
+at the new point carries none of its labels and drops in the first round.
+With P = S the rule covers the count of concepts defined on all of S,
+since L(S) lies inside them.  Natarajan and graph need a total class and
+scan every subset of the kept points: ``n_shatters`` already applies the
+row version of the count within each subset.
 
-``dimension`` tries at most ``SUBSET_BUDGET`` subsets, skipped ones
-included, then raises BudgetError with the lower bound completed so far
-and its witness.
+``dimension`` tries at most ``SUBSET_BUDGET`` subsets, then raises
+BudgetError with the lower bound completed so far and its witness.  The
+subsets under a dead prefix count as tried, all in one step when the
+prefix is met, so the budget runs out at the same subset, with the same
+report, as in the scan that tries each of them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from conceptlab import _kernels
 from conceptlab.core import STAR, ClassKind, ConceptClass, label_bits
@@ -533,13 +548,55 @@ def _shared_label_scores(cls: ConceptClass) -> list[int]:
     return [max((min(c, sum(cs) - c) for c in cs), default=0) for cs in sizes]
 
 
-def _defined_bits(cls: ConceptClass) -> list[int]:
-    """``defined[j]``: the int bitset of the concepts with a defined label
-    at point j, the OR of the ``cls.holders`` of j."""
-    defined = [0] * cls.domain_size
+def _fibre_live(live: int, columns: Sequence[Sequence[int]], d: int) -> int:
+    """The concepts of ``live`` left when every concept whose label at some
+    point is carried by fewer than 2^(d-1) of those left is dropped, until
+    none drops; 0 once fewer than 2^d are left.  ``columns`` holds, per
+    point, the holder bitsets of its defined labels, so the first round
+    also drops every concept undefined at one of the points."""
+    size = 1 << d
+    half = size >> 1
+    while live.bit_count() >= size:
+        kept = live
+        for labels in columns:
+            keep = 0
+            for bits in labels:
+                if (bits & kept).bit_count() >= half:
+                    keep |= bits
+            kept &= keep
+        if kept == live:
+            return live
+        live = kept
+    return 0
+
+
+def _fibre_scan(
+    cls: ConceptClass, points: Sequence[int], d: int
+) -> Iterator[tuple[int, Optional[tuple[int, ...]]]]:
+    """The size-d subsets of the points in lexicographic order, as
+    ``(count, subset)`` pairs: ``(1, S)`` for a subset to check, and
+    ``(n, None)`` for a block of n consecutive subsets that extend a prefix
+    whose ``_fibre_live`` set holds fewer than 2^d concepts.  Each prefix
+    filters its parent's live set, which holds its own."""
+    columns: list[list[int]] = [[] for _ in range(cls.domain_size)]
     for (j, _), bits in cls.holders.items():
-        defined[j] |= bits
-    return defined
+        columns[j].append(bits)
+    m = len(points)
+
+    def extend(prefix, prefix_columns, live, start):
+        k = len(prefix) + 1
+        for a in range(start, m - d + k):
+            j = points[a]
+            sub_columns = prefix_columns + (columns[j],)
+            sub = _fibre_live(live, sub_columns, d)
+            if not sub:
+                yield math.comb(m - 1 - a, d - k), None
+            elif k == d:
+                yield 1, prefix + (j,)
+            else:
+                yield from extend(prefix + (j,), sub_columns, sub, a + 1)
+
+    return extend((), (), (1 << cls.n_concepts) - 1, 0)
 
 
 def _check_kind_applies(cls: ConceptClass, kind: ShatterKind) -> None:
@@ -571,22 +628,21 @@ def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
     score is at most half the concepts, no level past log2 of the class
     size is scanned.
 
-    On a partial class, a subset on which fewer than 2^d concepts are
-    defined at every point is skipped after it is counted as tried: DS and
-    VC both need 2^d full-support patterns there, each from a concept
-    defined on the whole subset, so the checker would reject it by count
-    (proof in the module docstring).  The first shattered subset of each
-    level is again unchanged.
+    For DS and VC, the subsets that extend a prefix with fewer than 2^d
+    live concepts (``_fibre_live``) are skipped whole, after they are
+    counted as tried: none is shattered (proof in the module docstring),
+    so the first shattered subset of each level is again unchanged.
 
     On a nonempty class with at least one point, raises before any search
     the ValueError that every call of the kind's checker raises: VC on
     labels outside {0, 1}, Natarajan and graph on a partial class.
 
     Raises BudgetError before trying subset number ``SUBSET_BUDGET + 1``;
-    a subset of a point the score bound skips is not tried, a subset the
-    defined-concept count skips is.  Its ``report`` holds ``kind``,
-    ``lower_bound`` (the best completed result, a DimensionResult) and
-    ``level`` (the d being scanned).
+    a subset of a point the score bound skips is not tried, a subset under
+    a dead prefix is, and a dead prefix counts all of its subsets in one
+    step.  Its ``report`` holds ``kind``, ``lower_bound`` (the best
+    completed result, a DimensionResult) and ``level`` (the d being
+    scanned).
     """
     kind = ShatterKind(kind)
     if cls.n_concepts == 0:
@@ -594,24 +650,25 @@ def dimension(cls: ConceptClass, kind: ShatterKind) -> DimensionResult:
     if cls.domain_size:
         _check_kind_applies(cls, kind)
     check = _CHECKERS[kind]
+    fibre = kind in (ShatterKind.DS, ShatterKind.VC)
     score = _shared_label_scores(cls)
-    # None on a total class, where every concept is defined everywhere
-    defined = _defined_bits(cls) if cls.kind is ClassKind.PARTIAL else None
     best = DimensionResult(value=0, witness=None)
     tried = 0
     for d in range(1, cls.domain_size + 1):
         points = [j for j, s in enumerate(score) if s >= 1 << (d - 1)]
-        for combo in itertools.combinations(points, d):
-            if tried == SUBSET_BUDGET:
+        if fibre:
+            scan = _fibre_scan(cls, points, d)
+        else:
+            scan = zip(itertools.repeat(1), itertools.combinations(points, d))
+        for count, combo in scan:
+            if tried + count > SUBSET_BUDGET:
                 raise BudgetError(
                     f"subset budget {SUBSET_BUDGET} exhausted at d={d}; "
                     f"{kind.value} dimension is at least {best.value}",
                     report={"kind": kind, "lower_bound": best, "level": d},
                 )
-            tried += 1
-            if defined is not None and functools.reduce(
-                operator.and_, map(defined.__getitem__, combo)
-            ).bit_count() < 1 << d:
+            tried += count
+            if combo is None:
                 continue
             witness = check(cls, combo)
             if witness is not None:

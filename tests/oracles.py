@@ -280,6 +280,25 @@ def defined_everywhere(concepts, indices):
     return sum(1 for c in concepts if all(c[i] != STAR for i in indices))
 
 
+def fibre_live(concepts, prefix, d):
+    """The concepts left of those defined at every point of the prefix when,
+    round after round, every concept whose label at some prefix point is
+    carried by fewer than 2^(d-1) of the concepts left is dropped, until a
+    round drops none."""
+    live = [c for c in concepts if all(c[j] != STAR for j in prefix)]
+    while True:
+        count = {}
+        for c in live:
+            for j in prefix:
+                count[j, c[j]] = count.get((j, c[j]), 0) + 1
+        keep = [
+            c for c in live if all(count[j, c[j]] >= 2 ** (d - 1) for j in prefix)
+        ]
+        if len(keep) == len(live):
+            return keep
+        live = keep
+
+
 def naive_dimension(concepts, n, shattered) -> int:
     """Largest d with some shattered size-d subset, by scanning everything."""
     if not concepts:

@@ -14,6 +14,7 @@ import pytest
 import conceptlab
 from conceptlab.cli import main, report_table
 from conceptlab.compression import SchemeReport, counting_bound
+from conceptlab.constructions import graph_dim_blowup_example
 from conceptlab.core import (
     ClassKind,
     ConceptClass,
@@ -1113,3 +1114,53 @@ class TestCountingBoundsPastTheDigitLimit:
         assert run_cli("dim", "--class", str(huge), "--kind", "vc") == 2
         assert "usage error" in capsys.readouterr().err
         assert get_limit() == limit
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["gen", "--family", "disjoint-pairs"],
+            "--family disjoint-pairs requires --rows",
+        ),
+        (
+            ["gen", "--family", "haussler-long", "--points", "3", "--labels", "2"],
+            "--family haussler-long requires --points, --labels, --max-nonzero",
+        ),
+        (
+            ["gen", "--family", "random", "--points", "3", "--labels", "2"],
+            "--family random requires --points, --concepts, --labels",
+        ),
+        (
+            ["verify-compression", "--class", "{cls}", "--scheme", "bogus", "--m", "1"],
+            "unknown scheme 'bogus' (use boosted, star, or file:PATH)",
+        ),
+        (
+            ["extract-disambiguation", "--class", "{cls}", "--scheme", "bogus",
+             "--k", "1", "--bits", "0"],
+            "unknown scheme 'bogus' (use boosted, star, or file:PATH)",
+        ),
+    ],
+    ids=[
+        "gen-disjoint-pairs-no-rows",
+        "gen-haussler-long-no-max-nonzero",
+        "gen-random-no-concepts",
+        "verify-unknown-scheme",
+        "extract-unknown-scheme",
+    ],
+)
+def test_usage_error_branches(tmp_path, capsys, argv, message):
+    cls = tmp_path / "cls.json"
+    cls.write_text(
+        dumps_class(ConceptClass(1, ((0,), (1,)), ClassKind.TOTAL)), encoding="utf-8"
+    )
+    assert run_cli(*[arg.format(cls=cls) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_gen_gdim_blowup_partial(capsys):
+    # not an error branch: the family's partial half, as generated
+    assert run_cli("gen", "--family", "gdim-blowup-partial") == 0
+    assert capsys.readouterr().out == dumps_class(graph_dim_blowup_example()[0])

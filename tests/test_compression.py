@@ -49,6 +49,7 @@ from conceptlab.errors import (
     BudgetError,
     ContractViolationError,
     ConvergenceError,
+    RealizabilityError,
 )
 from conceptlab.random_classes import random_partial_class
 
@@ -1259,3 +1260,56 @@ class TestMonotonicityUnderDisambiguation:
             scheme = star_biclique_scheme(t)
             for m in (1, 2, 3):
                 assert verify_scheme(partial, scheme, m).valid
+
+
+_CUBE = ConceptClass(1, ((0,), (1,)), ClassKind.TOTAL)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: counting_bound(-1, 1, 1, 0),
+            ValueError,
+            "counting_bound arguments must be non-negative",
+        ),
+        (
+            lambda: CompressionKey(Sample(()), "012"),
+            ValueError,
+            "bits must be a 0/1 string, got '012'",
+        ),
+        (
+            lambda: boosted_scheme(ConceptClass(1, (), ClassKind.TOTAL)),
+            ValueError,
+            "boosted schemes require a nonempty class",
+        ),
+        (lambda: boosted_scheme(_CUBE, 0), ValueError, "subsample_size must be in 1..255"),
+        (lambda: boosted_scheme(_CUBE, 256), ValueError, "subsample_size must be in 1..255"),
+        (
+            lambda: boosted_scheme(_CUBE).compress(Sample(())),
+            RealizabilityError,
+            "cannot compress an empty sample",
+        ),
+        (
+            lambda: star_biclique_scheme(3).compress(Sample(())),
+            RealizabilityError,
+            "cannot compress an empty sample",
+        ),
+        (lambda: star_biclique_scheme(1), ValueError, "star partition needs t >= 2"),
+    ],
+    ids=[
+        "counting-bound-negative",
+        "key-bits",
+        "boosted-empty-class",
+        "boosted-subsample-0",
+        "boosted-subsample-256",
+        "boosted-empty-sample",
+        "star-empty-sample",
+        "star-t-1",
+    ],
+)
+def test_error_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

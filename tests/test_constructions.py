@@ -210,3 +210,44 @@ class TestWorkedPair:
         for m in (1, 2, 3):
             for sample in enumerate_realizable_samples(partial, m):
                 assert is_realizable(total, sample)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(-1, frozenset()), "vertex_count must be non-negative"),
+        (lambda: Graph(2, frozenset({(0, 2)})), "edge (0, 2) out of range"),
+        (lambda: complete_graph(0), "complete graph needs at least one vertex"),
+        (
+            lambda: BicliquePartition(
+                complete_graph(2), ((frozenset({0}), frozenset({0, 1})),)
+            ),
+            "part 0 has overlapping sides",
+        ),
+        (
+            lambda: BicliquePartition(
+                complete_graph(2), ((frozenset({0}), frozenset({2})),)
+            ),
+            "part 0 mentions unknown vertex 2",
+        ),
+        (
+            lambda: star_partition(3).part_of_edge(1, 1),
+            "(1, 1) is not an edge of the partitioned graph",
+        ),
+        (lambda: disjoint_pairs_family(0), "rows must be at least 1"),
+    ],
+    ids=[
+        "graph-negative-count",
+        "graph-edge-out-of-range",
+        "complete-graph-0",
+        "partition-overlapping-sides",
+        "partition-unknown-vertex",
+        "part-of-non-edge",
+        "disjoint-pairs-0",
+    ],
+)
+def test_error_branches(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

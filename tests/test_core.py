@@ -36,7 +36,7 @@ from conceptlab.compression import (
 )
 from conceptlab.constructions import biclique_class, star_partition
 from conceptlab.errors import BudgetError, RealizabilityError
-from conceptlab.random_classes import random_partial_class
+from conceptlab.random_classes import random_partial_class, random_total_class
 
 
 def pclass(*rows):
@@ -452,3 +452,48 @@ class TestSample:
             Sample(((index, 0),))
         with pytest.raises(ValueError):
             sample_from_json([[index, 0]])
+
+
+_CUBE = ConceptClass(1, ((0,), (1,)), ClassKind.TOTAL)
+_POSITIVE = "domain_size, n_concepts and n_labels must be positive"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: ConceptClass(-1, (), ClassKind.TOTAL),
+            ValueError,
+            "domain_size must be non-negative",
+        ),
+        (
+            lambda: union_disjoint([_CUBE, ConceptClass(1, (), ClassKind.TOTAL)]),
+            ValueError,
+            "union_disjoint requires nonempty classes",
+        ),
+        (
+            lambda: core.check_table_size(core.TABLE_ENTRY_BUDGET + 1, 1),
+            BudgetError,
+            f"{core.TABLE_ENTRY_BUDGET + 1} concepts over 1 points exceed the "
+            f"table budget of {core.TABLE_ENTRY_BUDGET} entries",
+        ),
+        (lambda: random_total_class(random.Random(0), 0, 1, 2), ValueError, _POSITIVE),
+        (lambda: random_total_class(random.Random(0), 1, -1, 2), ValueError, _POSITIVE),
+        (lambda: random_partial_class(random.Random(0), 1, 1, 0), ValueError, _POSITIVE),
+        (lambda: random_partial_class(random.Random(0), 1, 0, 2), ValueError, _POSITIVE),
+    ],
+    ids=[
+        "class-negative-domain",
+        "union-empty-class",
+        "table-past-budget",
+        "random-total-no-points",
+        "random-total-negative-concepts",
+        "random-partial-no-labels",
+        "random-partial-no-concepts",
+    ],
+)
+def test_error_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

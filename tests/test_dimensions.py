@@ -528,6 +528,10 @@ class TestSharedLabelBound:
                     assert floor >= 2 ** (d - 1), (cls, kind, combo)
                     defined = oracles.defined_everywhere(cls.concepts, combo)
                     assert defined >= 2**d, (cls, kind, combo)
+                    if kind in (ShatterKind.DS, ShatterKind.VC):
+                        for k in range(1, d + 1):
+                            live = oracles.fibre_live(cls.concepts, combo[:k], d)
+                            assert len(live) >= 2**d, (cls, kind, combo, k)
                     cases += 1
                     tight += floor == 2 ** (d - 1)
         assert cases > 5000 and tight >= 1000
@@ -571,12 +575,16 @@ class TestSharedLabelBound:
             assert got == want, (cls, kind)
         assert len(pruned) >= 500
 
-    def scan(self, cls, kind):
+    def scan(self, cls, kind, shattered=None):
         """(subset, seen) for each subset ``dimension`` tries, in order: the
-        subsets of the points the score keeps, up to the first shattered
-        one of each level.  The checker sees those on which at least 2^d
-        concepts are defined everywhere (seen True) and no others."""
+        subsets of the points the score keeps, up to the first one of each
+        level that ``shattered`` (the kind's oracle by default) accepts.
+        The checker sees those on which at least 2^d concepts are defined
+        everywhere and, for DS and VC, every prefix of which keeps at least
+        2^d concepts under ``oracles.fibre_live`` (seen True), and no
+        others."""
         n = cls.domain_size
+        shattered = shattered or self.ORACLES[kind]
         score = [oracles.shared_label_score(cls.concepts, j) for j in range(n)]
         out = []
         for d in range(1, n + 1):
@@ -589,17 +597,29 @@ class TestSharedLabelBound:
                 (
                     pos
                     for pos, combo in enumerate(kept)
-                    if self.ORACLES[kind](cls.concepts, combo)
+                    if shattered(cls.concepts, combo)
                 ),
                 None,
             )
             out += [
-                (combo, oracles.defined_everywhere(cls.concepts, combo) >= 2**d)
+                (combo, self.seen(cls, kind, combo))
                 for combo in (kept if hit is None else kept[: hit + 1])
             ]
             if hit is None:
                 break
         return out
+
+    @staticmethod
+    def seen(cls, kind, combo):
+        d = len(combo)
+        if oracles.defined_everywhere(cls.concepts, combo) < 2**d:
+            return False
+        if kind not in (ShatterKind.DS, ShatterKind.VC):
+            return True
+        return all(
+            len(oracles.fibre_live(cls.concepts, combo[:k], d)) >= 2**d
+            for k in range(1, d + 1)
+        )
 
     def test_checker_sees_exactly_the_kept_subsets(self, monkeypatch):
         calls = []
@@ -619,6 +639,97 @@ class TestSharedLabelBound:
             dimension(cls, kind)
             assert calls == want, (cls, kind)
         assert skipped > 50
+
+    def larger_cases(self):
+        """(class, kind, scan) for seeded random partial and total classes
+        over 5-6 points, 8-40 concepts and 2-4 labels, for DS and, on a
+        binary class, VC.  The scan stops at the subsets the package
+        checker accepts: the oracle's search over pattern subsets is too
+        slow for these classes."""
+        rng = random.Random(2308)
+        for _ in range(600):
+            n, size, labels = rng.randint(5, 6), rng.randint(8, 40), rng.randint(2, 4)
+            if rng.random() < 0.5:
+                cls = random_total_class(rng, n, size, labels)
+            else:
+                cls = random_partial_class(rng, n, size, labels, 0.15)
+            kinds = [ShatterKind.DS]
+            if set(cls.labels_used()) <= {0, 1}:
+                kinds.append(ShatterKind.VC)
+            for kind in kinds:
+                check = self.CHECKERS[kind]
+                yield cls, kind, self.scan(
+                    cls, kind, lambda _, combo: check(cls, combo) is not None
+                )
+
+    def test_prefix_rule_fires_on_larger_classes(self, monkeypatch):
+        """On the larger classes, the DS and VC checkers see exactly the
+        subsets the oracle keeps, among them the first shattered subset of
+        each level of the unpruned scan, and the prefix rule skips subsets
+        that the defined-concept count passes."""
+        calls = []
+        for kind, check in self.CHECKERS.items():
+
+            def counting(cls, indices, check=check):
+                calls.append(indices)
+                return check(cls, indices)
+
+            monkeypatch.setitem(dimensions._CHECKERS, kind, counting)
+        fired = 0
+        for cls, kind, tried in self.larger_cases():
+            check = self.CHECKERS[kind]
+            calls.clear()
+            result = dimension(cls, kind)
+            assert calls == [combo for combo, seen in tried if seen], (cls, kind)
+            first = {}
+            n = cls.domain_size
+            for combo in itertools.chain.from_iterable(
+                itertools.combinations(range(n), d) for d in range(1, n + 1)
+            ):
+                if len(combo) not in first and check(cls, combo) is not None:
+                    first[len(combo)] = combo
+            assert result.value == max(first, default=0), (cls, kind)
+            if first:
+                assert result.witness == check(cls, first[result.value])
+            fired += any(
+                not seen
+                and oracles.defined_everywhere(cls.concepts, combo) >= 2 ** len(combo)
+                for combo, seen in tried
+            )
+        assert fired >= 300
+
+    def test_budget_exit_at_every_budget(self, monkeypatch):
+        """Below the number of subsets the scan tries, budget B raises where
+        subset B + 1 would be tried: at its level, with the first shattered
+        subset of the level before as the lower bound.  The subsets under a
+        dead prefix count in one step, so a budget that runs out among them
+        raises at their level too."""
+        cases = 0
+        for cls, kind, tried in itertools.islice(self.larger_cases(), 300):
+            if all(seen for _, seen in tried):
+                continue
+            cases += 1
+            check = self.CHECKERS[kind]
+            monkeypatch.setattr(dimensions, "SUBSET_BUDGET", len(tried))
+            dimension(cls, kind)
+            for budget in range(len(tried)):
+                monkeypatch.setattr(dimensions, "SUBSET_BUDGET", budget)
+                with pytest.raises(BudgetError) as info:
+                    dimension(cls, kind)
+                d = len(tried[budget][0])
+                assert str(info.value) == (
+                    f"subset budget {budget} exhausted at d={d}; "
+                    f"{kind.value} dimension is at least {d - 1}"
+                )
+                report = info.value.report
+                assert (report["kind"], report["level"]) == (kind, d)
+                # the scan ends each level at its first shattered subset
+                below = [combo for combo, _ in tried if len(combo) == d - 1]
+                witness = check(cls, below[-1]) if below else None
+                assert report["lower_bound"] == dimensions.DimensionResult(
+                    value=d - 1, witness=witness
+                ), (cls, kind, budget)
+        assert cases >= 100
 
     def test_skipped_subsets_count_toward_the_budget(self, monkeypatch):
         cases = 0

@@ -23,7 +23,7 @@ from conceptlab.constructions import (
     star_partition,
     unique_label_disambiguation,
 )
-from conceptlab.core import STAR, Sample
+from conceptlab.core import STAR, ClassKind, ConceptClass, Sample
 from conceptlab.errors import BudgetError, ContractViolationError, RealizabilityError
 from conceptlab.lowerbound import (
     Coloring,
@@ -311,3 +311,39 @@ class TestPipelineSizeSemantics:
             scheme = star_biclique_scheme(t)
             assert one_size_at_a_time(t, scheme) is True
             assert pipeline_certificate(t, scheme, 1, 1).scheme_valid is True
+
+
+_K3 = star_partition(3)
+# K_3's biclique class disambiguated: 3 total concepts over its 2 parts
+_K3_TOTAL = unique_label_disambiguation(biclique_class(_K3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: Coloring(complete_graph(2), (0,)),
+            "one color per vertex required",
+        ),
+        (
+            lambda: extract_coloring(_K3, biclique_class(_K3), {}),
+            "disambiguation must be a total class",
+        ),
+        (
+            lambda: extract_coloring(
+                _K3, ConceptClass(1, ((0,), (1,)), ClassKind.TOTAL), {}
+            ),
+            "disambiguation domain must be the partition's part-index domain",
+        ),
+        (
+            lambda: extract_coloring(_K3, _K3_TOTAL, {0: 0, 1: 3, 2: 2}),
+            "assignment of vertex 1 is out of range: 3",
+        ),
+    ],
+    ids=["coloring-length", "extract-partial", "extract-domain", "extract-range"],
+)
+def test_error_branches(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
